@@ -66,6 +66,7 @@ int main() {
               "===\n\n");
   const VectorizedCorpus& corpus = SharedCorpus(64, 12);
   CorpusSplit split = SplitCorpus(corpus, 0.2, 11);
+  auto train = std::make_shared<const MultiLabelDataset>(split.train);
   CsvWriter csv({"system", "phase", "micro_f1", "failed", "attempted"});
 
   // ---- Centralized: kill the coordinator. -------------------------------
@@ -73,10 +74,10 @@ int main() {
     ExperimentOptions opt = MacroDefaults(AlgorithmType::kCentralized, 64);
     auto env = std::move(Environment::Create(opt.env)).value();
     auto algo = std::move(MakeClassifier(*env, opt)).value();
-    auto peers = std::move(DistributeData(split.train, 64, opt.distribution,
-                                          &split.train_user))
+    auto peers = std::move(DistributeDataShared(train, 64, opt.distribution,
+                                                &split.train_user))
                      .value();
-    algo->Setup(std::move(peers), corpus.dataset.num_tags()).ToString();
+    algo->SetupShards(std::move(peers), corpus.dataset.num_tags()).ToString();
     bool trained = false;
     algo->Train([&](Status) { trained = true; });
     env->RunUntilFlag(trained, 3600);
@@ -104,10 +105,11 @@ int main() {
     ExperimentOptions opt = MacroDefaults(AlgorithmType::kCempar, 64);
     auto env = std::move(Environment::Create(opt.env)).value();
     Cempar cempar(env->sim(), env->net(), *env->chord(), opt.cempar);
-    auto peers = std::move(DistributeData(split.train, 64, opt.distribution,
-                                          &split.train_user))
+    auto peers = std::move(DistributeDataShared(train, 64, opt.distribution,
+                                                &split.train_user))
                      .value();
-    cempar.Setup(std::move(peers), corpus.dataset.num_tags()).ToString();
+    cempar.SetupShards(std::move(peers), corpus.dataset.num_tags())
+        .ToString();
     bool trained = false;
     cempar.Train([&](Status) { trained = true; });
     env->RunUntilFlag(trained, 3600);

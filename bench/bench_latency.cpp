@@ -33,6 +33,7 @@ int main() {
   std::printf("=== prediction latency (simulated seconds) ===\n\n");
   const VectorizedCorpus& corpus = SharedCorpus(64, 12);
   CorpusSplit split = SplitCorpus(corpus, 0.2, 21);
+  auto train = std::make_shared<const MultiLabelDataset>(split.train);
   CsvWriter csv({"algorithm", "peers", "phase", "p50_ms", "p95_ms", "p99_ms",
                  "max_ms"});
 
@@ -47,11 +48,11 @@ int main() {
       auto env = std::move(Environment::Create(opt.env)).value();
       auto classifier = std::move(MakeClassifier(*env, opt)).value();
       auto peer_data =
-          std::move(DistributeData(split.train, peers, opt.distribution,
-                                   &split.train_user))
+          std::move(DistributeDataShared(train, peers, opt.distribution,
+                                         &split.train_user))
               .value();
-      if (!classifier->Setup(std::move(peer_data),
-                             corpus.dataset.num_tags())
+      if (!classifier->SetupShards(std::move(peer_data),
+                                   corpus.dataset.num_tags())
                .ok()) {
         continue;
       }

@@ -30,11 +30,12 @@ namespace {
 
 constexpr std::size_t kNumPeers = 64;
 
-std::vector<MultiLabelDataset> PeerPartition(const VectorizedCorpus& corpus) {
+std::vector<DatasetShard> PeerPartition(const VectorizedCorpus& corpus) {
   DataDistributionOptions opt;
   opt.cls = ClassDistribution::kByUser;
-  Result<std::vector<MultiLabelDataset>> r =
-      DistributeData(corpus.dataset, kNumPeers, opt, &corpus.doc_user);
+  Result<std::vector<DatasetShard>> r = DistributeDataShared(
+      std::make_shared<const MultiLabelDataset>(corpus.dataset), kNumPeers,
+      opt, &corpus.doc_user);
   if (!r.ok()) {
     std::fprintf(stderr, "distribution failed: %s\n",
                  r.status().ToString().c_str());
@@ -89,8 +90,8 @@ EngineRun RunP2P(const VectorizedCorpus& corpus,
   eo.num_peers = kNumPeers;
   auto env = std::move(Environment::Create(eo)).value();
   auto classifier = make_classifier(*env);
-  Status setup =
-      classifier->Setup(PeerPartition(corpus), corpus.dataset.num_tags());
+  Status setup = classifier->SetupShards(PeerPartition(corpus),
+                                         corpus.dataset.num_tags());
   if (!setup.ok()) std::abort();
 
   EngineRun out;

@@ -38,10 +38,13 @@ int main() {
   auto env = std::move(Environment::Create(opt.env)).value();
   auto algo = std::move(MakeClassifier(*env, opt)).value();
   CorpusSplit split = SplitCorpus(vectorized, 0.2, 9);
-  auto peers = std::move(DistributeData(split.train, 24, opt.distribution,
-                                        &split.train_user))
+  auto peers = std::move(DistributeDataShared(
+                             std::make_shared<const MultiLabelDataset>(
+                                 std::move(split.train)),
+                             24, opt.distribution, &split.train_user))
                    .value();
-  if (!algo->Setup(std::move(peers), vectorized.dataset.num_tags()).ok()) {
+  if (!algo->SetupShards(std::move(peers), vectorized.dataset.num_tags())
+           .ok()) {
     return 1;
   }
   bool trained = false;

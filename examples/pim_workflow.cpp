@@ -64,10 +64,13 @@ int main() {
   auto algo = std::move(MakeClassifier(*env, opt)).value();
 
   CorpusSplit split = SplitCorpus(vectorized, 0.2, 1);
-  auto peers = std::move(DistributeData(split.train, 32, opt.distribution,
-                                        &split.train_user))
+  auto peers = std::move(DistributeDataShared(
+                             std::make_shared<const MultiLabelDataset>(
+                                 std::move(split.train)),
+                             32, opt.distribution, &split.train_user))
                    .value();
-  algo->Setup(std::move(peers), vectorized.dataset.num_tags()).ToString();
+  algo->SetupShards(std::move(peers), vectorized.dataset.num_tags())
+      .ToString();
   bool trained = false;
   algo->Train([&](Status s) {
     std::printf("P2P collaborative training finished: %s\n",

@@ -56,8 +56,11 @@ int main() {
   DataDistributionOptions dist;
   dist.size = SizeDistribution::kZipf;
   dist.cls = ClassDistribution::kNonIidDirichlet;
-  auto peers =
-      std::move(DistributeData(split.train, 48, dist, nullptr)).value();
+  auto peers = std::move(DistributeDataShared(
+                             std::make_shared<const MultiLabelDataset>(
+                                 std::move(split.train)),
+                             48, dist, nullptr))
+                   .value();
   DistributionSummary summary =
       SummarizeDistribution(peers, corpus.dataset.num_tags());
   std::printf("data distribution: %s\n\n", summary.ToString().c_str());
@@ -67,7 +70,7 @@ int main() {
   xo.env = eo;
   xo.algorithm = AlgorithmType::kCempar;
   Cempar cempar(env->sim(), env->net(), *env->chord(), xo.cempar);
-  cempar.Setup(std::move(peers), corpus.dataset.num_tags()).ToString();
+  cempar.SetupShards(std::move(peers), corpus.dataset.num_tags()).ToString();
 
   log.Record(env->sim().Now(), "system", "train", "protocol started");
   bool trained = false;

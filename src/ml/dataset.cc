@@ -60,10 +60,11 @@ std::pair<MultiLabelDataset, MultiLabelDataset> MultiLabelDataset::Split(
   return {std::move(train), std::move(test)};
 }
 
-void MultiLabelDataset::Merge(const MultiLabelDataset& other) {
-  num_tags_ = std::max(num_tags_, other.num_tags_);
-  examples_.insert(examples_.end(), other.examples_.begin(),
-                   other.examples_.end());
+void MultiLabelDataset::Merge(const DatasetShard& other) {
+  num_tags_ = std::max(num_tags_, other.num_tags());
+  for (std::size_t i = 0; i < other.size(); ++i) {
+    examples_.push_back(other[i]);
+  }
 }
 
 std::size_t MultiLabelDataset::WireSize() const {

@@ -30,6 +30,8 @@ struct MultiLabelExample {
   bool HasTag(TagId tag) const;
 };
 
+class DatasetShard;
+
 /// A multi-label dataset with a known tag-universe size.
 ///
 /// This is the paper's D = {d_1, ..., d_l}: what a single peer holds
@@ -66,9 +68,9 @@ class MultiLabelDataset {
   std::pair<MultiLabelDataset, MultiLabelDataset> Split(double train_fraction,
                                                         Rng& rng) const;
 
-  /// Merges another dataset into this one (tag universes must agree or be
-  /// resizable: num_tags becomes the max of both).
-  void Merge(const MultiLabelDataset& other);
+  /// Appends a peer's documents (num_tags becomes the max of both tag
+  /// universes).
+  void Merge(const DatasetShard& other);
 
   /// Total wire size of all vectors plus tag lists — what shipping this
   /// dataset to a central site would cost.
@@ -91,8 +93,8 @@ class MultiLabelDataset {
 /// The accessor surface mirrors the subset of MultiLabelDataset the
 /// classifiers use — size/empty/operator[]/OneAgainstAll/TagCounts — and
 /// every accessor returns bit-identical results to the materialized
-/// equivalent (`Materialize()`), which is what keeps the flyweight engine's
-/// trained models byte-for-byte equal to the legacy copy-out engine's.
+/// equivalent (`Materialize()`), so a classifier trains the same models
+/// whether its peers share one corpus or each own theirs.
 class DatasetShard {
  public:
   DatasetShard() = default;
@@ -101,8 +103,8 @@ class DatasetShard {
   DatasetShard(std::shared_ptr<const MultiLabelDataset> corpus,
                std::vector<uint32_t> indices);
 
-  /// Wraps an already-materialized per-peer dataset (the legacy Setup path):
-  /// the shard owns the data as its own single-peer corpus.
+  /// Wraps an already-materialized per-peer dataset (e.g. hand-built test
+  /// data): the shard owns the data as its own single-peer corpus.
   static DatasetShard Own(MultiLabelDataset data);
 
   std::size_t size() const { return indices_.size(); }

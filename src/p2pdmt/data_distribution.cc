@@ -28,6 +28,10 @@ const char* ClassDistributionToString(ClassDistribution d) {
   return "unknown";
 }
 
+namespace {
+
+/// Assigns every example index to exactly one peer; each peer's indices
+/// are in the order the peer drew them.
 Result<std::vector<std::vector<uint32_t>>> DistributeIndices(
     const MultiLabelDataset& data, std::size_t num_peers,
     const DataDistributionOptions& options,
@@ -94,15 +98,20 @@ Result<std::vector<std::vector<uint32_t>>> DistributeIndices(
 
   // Non-IID: each peer draws documents whose first tag matches a sample
   // from its Dirichlet tag preference; falls back to any remaining
-  // document when the preferred pools run dry.
+  // document when the preferred pools run dry. Documents without a pool
+  // (no tag in the universe) go straight to the leftovers.
   const TagId num_tags = data.num_tags();
   std::vector<std::vector<std::size_t>> tag_pool(num_tags);
+  std::vector<std::size_t> leftovers;
   for (std::size_t idx : order) {
     const auto& ex = data[idx];
     TagId primary = ex.tags.empty() ? 0 : ex.tags.front();
-    if (primary < num_tags) tag_pool[primary].push_back(idx);
+    if (primary < num_tags) {
+      tag_pool[primary].push_back(idx);
+    } else {
+      leftovers.push_back(idx);
+    }
   }
-  std::vector<std::size_t> leftovers;
 
   for (std::size_t p = 0; p < num_peers; ++p) {
     std::vector<double> pref =
@@ -135,20 +144,7 @@ Result<std::vector<std::vector<uint32_t>>> DistributeIndices(
   return peers;
 }
 
-Result<std::vector<MultiLabelDataset>> DistributeData(
-    const MultiLabelDataset& data, std::size_t num_peers,
-    const DataDistributionOptions& options,
-    const std::vector<std::size_t>* doc_user) {
-  Result<std::vector<std::vector<uint32_t>>> indices =
-      DistributeIndices(data, num_peers, options, doc_user);
-  if (!indices.ok()) return indices.status();
-  std::vector<MultiLabelDataset> peers(num_peers,
-                                       MultiLabelDataset(data.num_tags()));
-  for (std::size_t p = 0; p < num_peers; ++p) {
-    for (uint32_t idx : indices.value()[p]) peers[p].Add(data[idx]);
-  }
-  return peers;
-}
+}  // namespace
 
 Result<std::vector<DatasetShard>> DistributeDataShared(
     std::shared_ptr<const MultiLabelDataset> data, std::size_t num_peers,
@@ -169,13 +165,8 @@ Result<std::vector<DatasetShard>> DistributeDataShared(
   return shards;
 }
 
-namespace {
-
-/// Shared implementation over anything with size()/TagCounts() — the
-/// materialized and flyweight views summarize identically.
-template <typename PeerData>
-DistributionSummary SummarizeImpl(const std::vector<PeerData>& peers,
-                                  TagId num_tags) {
+DistributionSummary SummarizeDistribution(
+    const std::vector<DatasetShard>& peers, TagId num_tags) {
   DistributionSummary s;
   s.num_peers = peers.size();
   if (peers.empty()) return s;
@@ -215,18 +206,6 @@ DistributionSummary SummarizeImpl(const std::vector<PeerData>& peers,
     s.size_gini = weighted / (nn * total) - (nn + 1.0) / nn;
   }
   return s;
-}
-
-}  // namespace
-
-DistributionSummary SummarizeDistribution(
-    const std::vector<MultiLabelDataset>& peers, TagId num_tags) {
-  return SummarizeImpl(peers, num_tags);
-}
-
-DistributionSummary SummarizeDistribution(
-    const std::vector<DatasetShard>& peers, TagId num_tags) {
-  return SummarizeImpl(peers, num_tags);
 }
 
 std::string DistributionSummary::ToString() const {

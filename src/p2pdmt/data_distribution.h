@@ -45,27 +45,13 @@ struct DataDistributionOptions {
 const char* SizeDistributionToString(SizeDistribution d);
 const char* ClassDistributionToString(ClassDistribution d);
 
-/// Partitions `data` across `num_peers` peers. Every example is assigned to
-/// exactly one peer. For kByUser, `doc_user` must be non-null and parallel
-/// to data.examples(). Peers may end up empty under heavy skew — that is
-/// intended (free-riders exist in real P2P networks).
-Result<std::vector<MultiLabelDataset>> DistributeData(
-    const MultiLabelDataset& data, std::size_t num_peers,
-    const DataDistributionOptions& options,
-    const std::vector<std::size_t>* doc_user = nullptr);
-
-/// Index-based core of DistributeData: assigns every example index to
-/// exactly one peer, in the same order DistributeData adds the examples —
-/// materializing `out[p]` reproduces DistributeData's result bit-for-bit.
-/// This is what the flyweight (100k-peer) path uses: no document is copied.
-Result<std::vector<std::vector<uint32_t>>> DistributeIndices(
-    const MultiLabelDataset& data, std::size_t num_peers,
-    const DataDistributionOptions& options,
-    const std::vector<std::size_t>* doc_user = nullptr);
-
-/// Flyweight distribution: every peer gets a DatasetShard view into the
-/// shared corpus instead of a materialized copy. Per-peer cost is one
-/// uint32_t per held document; the corpus is stored once, total.
+/// Partitions `data` across `num_peers` peers: every peer gets a
+/// DatasetShard view into the shared corpus instead of a materialized copy.
+/// Per-peer cost is one uint32_t per held document; the corpus is stored
+/// once, total. Every example is assigned to exactly one peer. For kByUser,
+/// `doc_user` must be non-null and parallel to data->examples(). Peers may
+/// end up empty under heavy skew — that is intended (free-riders exist in
+/// real P2P networks).
 Result<std::vector<DatasetShard>> DistributeDataShared(
     std::shared_ptr<const MultiLabelDataset> data, std::size_t num_peers,
     const DataDistributionOptions& options,
@@ -85,10 +71,6 @@ struct DistributionSummary {
   std::string ToString() const;
 };
 
-DistributionSummary SummarizeDistribution(
-    const std::vector<MultiLabelDataset>& peers, TagId num_tags);
-
-/// Shard overload: same summary (identical numbers) without materializing.
 DistributionSummary SummarizeDistribution(
     const std::vector<DatasetShard>& peers, TagId num_tags);
 

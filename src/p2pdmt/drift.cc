@@ -127,47 +127,31 @@ Result<DriftExperimentResult> RunDriftExperiment(
   }
 
   // Environment + classifier. Each simulated user is one peer.
-  EnvironmentOptions env_options = options.env;
-  env_options.num_peers = num_peers;
-  Result<std::unique_ptr<Environment>> env_result =
-      Environment::Create(env_options);
-  if (!env_result.ok()) return env_result.status();
-  Environment& env = *env_result.value();
-
   ExperimentOptions algo_options;
   algo_options.algorithm = options.algorithm;
+  algo_options.env = options.env;
+  algo_options.env.num_peers = num_peers;
   algo_options.cempar = options.cempar;
   algo_options.pace = options.pace;
-  Result<std::unique_ptr<P2PClassifier>> algo_result =
-      MakeClassifier(env, algo_options);
-  if (!algo_result.ok()) return algo_result.status();
-  P2PClassifier& algo = *algo_result.value();
-  if (options.policy != RetrainPolicy::kFrozen &&
-      !algo.SupportsOnlineRefresh()) {
-    return Status::FailedPrecondition(algo.name() +
-                                      " does not support online refresh");
-  }
-
   std::vector<DatasetShard> shards;
   shards.reserve(num_peers);
   for (std::size_t p = 0; p < num_peers; ++p) {
     shards.emplace_back(shared, window[p]);
   }
-  P2PDT_RETURN_IF_ERROR(algo.SetupShards(std::move(shards), num_tags));
-
-  env.StartDynamics();
-  bool train_done = false;
-  Status train_status = Status::OK();
-  algo.Train([&](Status s) {
-    train_status = s;
-    train_done = true;
-  });
-  result.train_sim_seconds =
-      env.RunUntilFlag(train_done, options.max_train_sim_seconds);
-  if (!train_done) {
-    return Status::Internal("drift harness: training did not quiesce");
+  Result<ClassifierNetwork> network =
+      SetUpNetwork(algo_options, std::move(shards), num_tags);
+  if (!network.ok()) return network.status();
+  Environment& env = *network->env;
+  P2PClassifier& algo = *network->algo;
+  if (options.policy != RetrainPolicy::kFrozen &&
+      !algo.SupportsOnlineRefresh()) {
+    return Status::FailedPrecondition(algo.name() +
+                                      " does not support online refresh");
   }
-  P2PDT_RETURN_IF_ERROR(train_status);
+  Result<double> train_sim_seconds =
+      TrainToQuiescence(env, algo, options.max_train_sim_seconds);
+  if (!train_sim_seconds.ok()) return train_sim_seconds.status();
+  result.train_sim_seconds = train_sim_seconds.value();
 
   // Staleness tracking + observability surface.
   std::vector<ModelStalenessTracker> trackers(

@@ -96,6 +96,42 @@ Result<std::unique_ptr<P2PClassifier>> MakeClassifier(
   return Status::InvalidArgument("unknown algorithm");
 }
 
+Result<ClassifierNetwork> SetUpNetwork(const ExperimentOptions& options,
+                                       std::vector<DatasetShard> peer_data,
+                                       TagId num_tags) {
+  ClassifierNetwork network;
+  Result<std::unique_ptr<Environment>> env = Environment::Create(options.env);
+  if (!env.ok()) return env.status();
+  network.env = std::move(env).value();
+  Result<std::unique_ptr<P2PClassifier>> algo =
+      MakeClassifier(*network.env, options);
+  if (!algo.ok()) return algo.status();
+  network.algo = std::move(algo).value();
+  P2PDT_RETURN_IF_ERROR(
+      network.algo->SetupShards(std::move(peer_data), num_tags));
+  network.env->StartDynamics();
+  return network;
+}
+
+Result<double> TrainToQuiescence(Environment& env, P2PClassifier& algo,
+                                 double max_train_sim_seconds) {
+  bool train_done = false;
+  Status train_status = Status::OK();
+  algo.Train([&](Status s) {
+    train_status = s;
+    train_done = true;
+  });
+  const double sim_seconds =
+      env.RunUntilFlag(train_done, max_train_sim_seconds);
+  if (!train_done) {
+    return Status::Internal("training protocol did not quiesce in " +
+                            std::to_string(max_train_sim_seconds) +
+                            " simulated seconds");
+  }
+  P2PDT_RETURN_IF_ERROR(train_status);
+  return sim_seconds;
+}
+
 namespace {
 
 struct StatsSnapshot {
@@ -206,8 +242,7 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
       SplitCorpus(corpus, options.train_fraction, options.seed);
   result.train_documents = split.train.size();
   // The training corpus becomes one shared immutable block; every peer gets
-  // a flyweight index view into it (same RNG draws, hence the same
-  // assignment, as the old copy-out DistributeData).
+  // a flyweight index view into it.
   auto train_corpus =
       std::make_shared<const MultiLabelDataset>(std::move(split.train));
   Result<std::vector<DatasetShard>> peers = DistributeDataShared(
@@ -218,18 +253,11 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
       SummarizeDistribution(peers.value(), corpus.dataset.num_tags());
 
   // 2. Environment + algorithm.
-  Result<std::unique_ptr<Environment>> env_result =
-      Environment::Create(options.env);
-  if (!env_result.ok()) return env_result.status();
-  Environment& env = *env_result.value();
-  Result<std::unique_ptr<P2PClassifier>> algo_result =
-      MakeClassifier(env, options);
-  if (!algo_result.ok()) return algo_result.status();
-  P2PClassifier& algo = *algo_result.value();
-  P2PDT_RETURN_IF_ERROR(
-      algo.SetupShards(std::move(peers).value(), corpus.dataset.num_tags()));
-
-  env.StartDynamics();
+  Result<ClassifierNetwork> network = SetUpNetwork(
+      options, std::move(peers).value(), corpus.dataset.num_tags());
+  if (!network.ok()) return network.status();
+  Environment& env = *network->env;
+  P2PClassifier& algo = *network->algo;
   if (options.warmup_sim_seconds > 0.0) {
     env.sim().RunUntil(env.sim().Now() + options.warmup_sim_seconds);
   }
@@ -247,20 +275,10 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   if (env.profiler() != nullptr) env.profiler()->SetPhase("train");
   CostCounts before_train_cost = CostLedger::Collect();
   StatsSnapshot before_train = StatsSnapshot::Take(env.net().stats());
-  bool train_done = false;
-  Status train_status = Status::OK();
-  algo.Train([&](Status s) {
-    train_status = s;
-    train_done = true;
-  });
-  result.train_sim_seconds =
-      env.RunUntilFlag(train_done, options.max_train_sim_seconds);
-  if (!train_done) {
-    return Status::Internal("training protocol did not quiesce in " +
-                            std::to_string(options.max_train_sim_seconds) +
-                            " simulated seconds");
-  }
-  P2PDT_RETURN_IF_ERROR(train_status);
+  Result<double> train_sim_seconds =
+      TrainToQuiescence(env, algo, options.max_train_sim_seconds);
+  if (!train_sim_seconds.ok()) return train_sim_seconds.status();
+  result.train_sim_seconds = train_sim_seconds.value();
   if (result.cost_ledger_enabled) {
     result.train_cost = CostLedger::Collect() - before_train_cost;
   }

@@ -183,6 +183,25 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
 Result<std::unique_ptr<P2PClassifier>> MakeClassifier(
     Environment& env, const ExperimentOptions& options);
 
+/// A classifier installed on the peers of its simulated environment.
+struct ClassifierNetwork {
+  std::unique_ptr<Environment> env;
+  std::unique_ptr<P2PClassifier> algo;
+};
+
+/// Stands up a network from shards: creates `options.env`, builds
+/// `options.algorithm` on it, installs `peer_data` (one shard per peer) and
+/// starts the environment's dynamics. The classifier is not yet trained.
+Result<ClassifierNetwork> SetUpNetwork(const ExperimentOptions& options,
+                                       std::vector<DatasetShard> peer_data,
+                                       TagId num_tags);
+
+/// Trains the installed classifier and runs the simulator until training
+/// completes. Returns the simulated seconds RunUntilFlag reports; fails
+/// when training fails or does not quiesce within `max_train_sim_seconds`.
+Result<double> TrainToQuiescence(Environment& env, P2PClassifier& algo,
+                                 double max_train_sim_seconds);
+
 /// Deterministically splits `corpus` into train/test keeping the user
 /// mapping (needed for by-user distribution).
 struct CorpusSplit {

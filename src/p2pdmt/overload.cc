@@ -55,50 +55,30 @@ Result<OverloadRunStats> RunOverloadExperiment(
         "overload harness needs non-empty train and test splits");
   }
 
-  EnvironmentOptions env_options = options.env;
-  env_options.observe.metrics = true;  // the SLO histogram lives here
-  Result<std::unique_ptr<Environment>> env_result =
-      Environment::Create(env_options);
-  if (!env_result.ok()) return env_result.status();
-  Environment& env = *env_result.value();
-  const std::size_t num_peers = env_options.num_peers;
-
   ExperimentOptions algo_options;
   algo_options.algorithm = options.algorithm;
+  algo_options.env = options.env;
+  algo_options.env.observe.metrics = true;  // the SLO histogram lives here
   algo_options.cempar = options.cempar;
   algo_options.pace = options.pace;
   algo_options.sim_shards = options.sim_shards;
-  Result<std::unique_ptr<P2PClassifier>> algo_result =
-      MakeClassifier(env, algo_options);
-  if (!algo_result.ok()) return algo_result.status();
-  P2PClassifier& algo = *algo_result.value();
+  const std::size_t num_peers = options.env.num_peers;
+  Result<std::vector<DatasetShard>> shards = DistributeDataShared(
+      std::make_shared<const MultiLabelDataset>(std::move(split.train)),
+      num_peers,
+      options.distribution, &split.train_user);
+  if (!shards.ok()) return shards.status();
+  Result<ClassifierNetwork> network = SetUpNetwork(
+      algo_options, std::move(shards).value(), corpus.dataset.num_tags());
+  if (!network.ok()) return network.status();
+  Environment& env = *network->env;
+  P2PClassifier& algo = *network->algo;
 
-  auto shared = std::make_shared<const MultiLabelDataset>(split.train);
-  Result<std::vector<std::vector<uint32_t>>> indices = DistributeIndices(
-      *shared, num_peers, options.distribution, &split.train_user);
-  if (!indices.ok()) return indices.status();
-  std::vector<DatasetShard> shards;
-  shards.reserve(num_peers);
-  for (std::size_t p = 0; p < num_peers; ++p) {
-    shards.emplace_back(shared, std::move((*indices)[p]));
-  }
-  P2PDT_RETURN_IF_ERROR(
-      algo.SetupShards(std::move(shards), corpus.dataset.num_tags()));
-
-  env.StartDynamics();
   OverloadRunStats stats;
-  bool train_done = false;
-  Status train_status = Status::OK();
-  algo.Train([&](Status s) {
-    train_status = s;
-    train_done = true;
-  });
-  stats.train_sim_seconds =
-      env.RunUntilFlag(train_done, options.max_train_sim_seconds);
-  if (!train_done) {
-    return Status::Internal("overload harness: training did not quiesce");
-  }
-  P2PDT_RETURN_IF_ERROR(train_status);
+  Result<double> train_sim_seconds =
+      TrainToQuiescence(env, algo, options.max_train_sim_seconds);
+  if (!train_sim_seconds.ok()) return train_sim_seconds.status();
+  stats.train_sim_seconds = train_sim_seconds.value();
 
   // Request catalog in popularity order: test documents by index. The
   // split must stay alive until the generator finishes — docs are views.

@@ -30,32 +30,17 @@ Result<PassOutput> RunPass(const VectorizedCorpus& corpus,
   PassOutput out;
   CorpusSplit split =
       SplitCorpus(corpus, options.train_fraction, options.seed);
-  Result<std::vector<MultiLabelDataset>> peers = DistributeData(
-      split.train, options.env.num_peers, options.distribution,
-      &split.train_user);
+  Result<std::vector<DatasetShard>> peers = DistributeDataShared(
+      std::make_shared<const MultiLabelDataset>(std::move(split.train)),
+      options.env.num_peers, options.distribution, &split.train_user);
   if (!peers.ok()) return peers.status();
-
-  Result<std::unique_ptr<Environment>> env_result =
-      Environment::Create(options.env);
-  if (!env_result.ok()) return env_result.status();
-  Environment& env = *env_result.value();
-  Result<std::unique_ptr<P2PClassifier>> algo_result =
-      MakeClassifier(env, options);
-  if (!algo_result.ok()) return algo_result.status();
-  P2PClassifier& algo = *algo_result.value();
+  Result<ClassifierNetwork> network = SetUpNetwork(
+      options, std::move(peers).value(), corpus.dataset.num_tags());
+  if (!network.ok()) return network.status();
+  Environment& env = *network->env;
+  P2PClassifier& algo = *network->algo;
   P2PDT_RETURN_IF_ERROR(
-      algo.Setup(std::move(peers).value(), corpus.dataset.num_tags()));
-
-  env.StartDynamics();
-  bool train_done = false;
-  Status train_status = Status::OK();
-  algo.Train([&](Status s) {
-    train_status = s;
-    train_done = true;
-  });
-  env.RunUntilFlag(train_done, options.max_train_sim_seconds);
-  if (!train_done) return Status::Internal("training did not quiesce");
-  P2PDT_RETURN_IF_ERROR(train_status);
+      TrainToQuiescence(env, algo, options.max_train_sim_seconds).status());
 
   if (num_crashed_peers > 0) {
     if (!algo.SupportsDurability()) {

@@ -33,8 +33,8 @@ CentralizedClassifier::CentralizedClassifier(Simulator& sim,
                                              CentralizedOptions options)
     : sim_(sim), net_(net), options_(options) {}
 
-Status CentralizedClassifier::Setup(std::vector<MultiLabelDataset> peer_data,
-                                    TagId num_tags) {
+Status CentralizedClassifier::SetupShards(std::vector<DatasetShard> peer_data,
+                                          TagId num_tags) {
   if (peer_data.size() != net_.num_nodes()) {
     return Status::InvalidArgument(
         "peer_data size must equal the number of underlay nodes");
@@ -97,8 +97,6 @@ void CentralizedClassifier::Predict(NodeId requester, const SparseVector& x,
     sim_.Schedule(0.0, [done = std::move(done)] { done({{}, {}, false}); });
     return;
   }
-  auto fail = [done](auto&&...) { };
-  (void)fail;
   auto shared_done =
       std::make_shared<std::function<void(P2PPrediction)>>(std::move(done));
 
@@ -138,8 +136,8 @@ LocalOnlyClassifier::LocalOnlyClassifier(Simulator& sim, PhysicalNetwork& net,
                                          LocalOnlyOptions options)
     : sim_(sim), net_(net), options_(options) {}
 
-Status LocalOnlyClassifier::Setup(std::vector<MultiLabelDataset> peer_data,
-                                  TagId num_tags) {
+Status LocalOnlyClassifier::SetupShards(std::vector<DatasetShard> peer_data,
+                                        TagId num_tags) {
   if (peer_data.size() != net_.num_nodes()) {
     return Status::InvalidArgument(
         "peer_data size must equal the number of underlay nodes");
@@ -155,7 +153,7 @@ Status LocalOnlyClassifier::Setup(std::vector<MultiLabelDataset> peer_data,
 void LocalOnlyClassifier::Train(std::function<void(Status)> on_complete) {
   for (NodeId peer = 0; peer < peer_data_.size(); ++peer) {
     if (!net_.IsOnline(peer) || peer_data_[peer].empty()) continue;
-    MultiLabelDataset padded = peer_data_[peer];
+    DatasetShard padded = peer_data_[peer];
     padded.set_num_tags(num_tags_);
     LinearSvmOptions svm = options_.svm;
     svm.seed = options_.svm.seed + peer;
@@ -201,8 +199,8 @@ ModelAveragingClassifier::ModelAveragingClassifier(
     ModelAveragingOptions options)
     : sim_(sim), net_(net), overlay_(overlay), options_(options) {}
 
-Status ModelAveragingClassifier::Setup(
-    std::vector<MultiLabelDataset> peer_data, TagId num_tags) {
+Status ModelAveragingClassifier::SetupShards(
+    std::vector<DatasetShard> peer_data, TagId num_tags) {
   if (peer_data.size() != net_.num_nodes()) {
     return Status::InvalidArgument(
         "peer_data size must equal the number of underlay nodes");
@@ -220,7 +218,7 @@ void ModelAveragingClassifier::Train(std::function<void(Status)> on_complete) {
   // Local phase: per-tag linear models.
   for (NodeId peer = 0; peer < peer_data_.size(); ++peer) {
     if (!net_.IsOnline(peer) || peer_data_[peer].empty()) continue;
-    const MultiLabelDataset& data = peer_data_[peer];
+    const DatasetShard& data = peer_data_[peer];
     std::vector<LinearSvmModel> per_tag(num_tags_);
     std::vector<std::size_t> counts = data.TagCounts();
     bool any = false;

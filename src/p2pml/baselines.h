@@ -30,8 +30,8 @@ class CentralizedClassifier final : public P2PClassifier {
   CentralizedClassifier(Simulator& sim, PhysicalNetwork& net,
                         CentralizedOptions options = {});
 
-  Status Setup(std::vector<MultiLabelDataset> peer_data,
-               TagId num_tags) override;
+  Status SetupShards(std::vector<DatasetShard> peer_data,
+                     TagId num_tags) override;
   void Train(std::function<void(Status)> on_complete) override;
   void Predict(NodeId requester, const SparseVector& x,
                std::function<void(P2PPrediction)> done) override;
@@ -41,7 +41,7 @@ class CentralizedClassifier final : public P2PClassifier {
   Simulator& sim_;
   PhysicalNetwork& net_;
   CentralizedOptions options_;
-  std::vector<MultiLabelDataset> peer_data_;
+  std::vector<DatasetShard> peer_data_;
   TagId num_tags_ = 0;
   MultiLabelDataset pooled_;
   OneVsAllModel model_;
@@ -62,8 +62,8 @@ class LocalOnlyClassifier final : public P2PClassifier {
   LocalOnlyClassifier(Simulator& sim, PhysicalNetwork& net,
                       LocalOnlyOptions options = {});
 
-  Status Setup(std::vector<MultiLabelDataset> peer_data,
-               TagId num_tags) override;
+  Status SetupShards(std::vector<DatasetShard> peer_data,
+                     TagId num_tags) override;
   void Train(std::function<void(Status)> on_complete) override;
   void Predict(NodeId requester, const SparseVector& x,
                std::function<void(P2PPrediction)> done) override;
@@ -73,7 +73,7 @@ class LocalOnlyClassifier final : public P2PClassifier {
   Simulator& sim_;
   PhysicalNetwork& net_;
   LocalOnlyOptions options_;
-  std::vector<MultiLabelDataset> peer_data_;
+  std::vector<DatasetShard> peer_data_;
   TagId num_tags_ = 0;
   std::vector<OneVsAllModel> models_;
   std::vector<bool> has_model_;
@@ -96,8 +96,8 @@ class ModelAveragingClassifier final : public P2PClassifier {
                            Overlay& overlay,
                            ModelAveragingOptions options = {});
 
-  Status Setup(std::vector<MultiLabelDataset> peer_data,
-               TagId num_tags) override;
+  Status SetupShards(std::vector<DatasetShard> peer_data,
+                     TagId num_tags) override;
   void Train(std::function<void(Status)> on_complete) override;
   void Predict(NodeId requester, const SparseVector& x,
                std::function<void(P2PPrediction)> done) override;
@@ -108,7 +108,7 @@ class ModelAveragingClassifier final : public P2PClassifier {
   PhysicalNetwork& net_;
   Overlay& overlay_;
   ModelAveragingOptions options_;
-  std::vector<MultiLabelDataset> peer_data_;
+  std::vector<DatasetShard> peer_data_;
   TagId num_tags_ = 0;
   /// Per-contributor linear models (shared storage; receipt is tracked).
   std::vector<std::vector<LinearSvmModel>> contributed_;

@@ -116,16 +116,6 @@ uint64_t Cempar::HomeKey(TagId tag, std::size_t region) const {
   return chord_.HashToKey((uint64_t{tag} << 20) | region);
 }
 
-Status Cempar::Setup(std::vector<MultiLabelDataset> peer_data,
-                     TagId num_tags) {
-  std::vector<DatasetShard> shards;
-  shards.reserve(peer_data.size());
-  for (MultiLabelDataset& data : peer_data) {
-    shards.push_back(DatasetShard::Own(std::move(data)));
-  }
-  return SetupShards(std::move(shards), num_tags);
-}
-
 Status Cempar::SetupShards(std::vector<DatasetShard> peer_data,
                            TagId num_tags) {
   if (peer_data.size() != net_.num_nodes()) {

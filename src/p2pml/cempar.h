@@ -114,12 +114,10 @@ class Cempar final : public P2PClassifier {
   Cempar(Simulator& sim, PhysicalNetwork& net, ChordOverlay& chord,
          CemparOptions options = {});
 
-  Status Setup(std::vector<MultiLabelDataset> peer_data,
-               TagId num_tags) override;
-  /// Native flyweight path: stores the shard views directly — per-peer
-  /// training data is never copied, only indexed. Training is lazy: the
-  /// one-against-all reductions materialize per (peer, tag) cell at fit
-  /// time and are dropped right after.
+  /// Stores the shard views directly — per-peer training data is never
+  /// copied, only indexed. Training is lazy: the one-against-all
+  /// reductions materialize per (peer, tag) cell at fit time and are
+  /// dropped right after.
   Status SetupShards(std::vector<DatasetShard> peer_data,
                      TagId num_tags) override;
   void Train(std::function<void(Status)> on_complete) override;
@@ -300,8 +298,7 @@ class Cempar final : public P2PClassifier {
   std::map<std::pair<NodeId, NodeId>, PendingBatch> batches_;
   uint64_t batch_generation_ = 0;
 
-  /// Per-peer flyweight views into the shared training corpus (legacy
-  /// Setup wraps its materialized datasets into single-peer shards).
+  /// Per-peer flyweight views into the shared training corpus.
   std::vector<DatasetShard> peer_data_;
   TagId num_tags_ = 0;
   std::vector<Home> homes_;  // indexed by HomeIndex

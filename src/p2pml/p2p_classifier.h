@@ -58,32 +58,18 @@ struct DefenseStats {
 /// training and prediction exchange real simulated messages, so accuracy
 /// and communication cost come from the same run.
 ///
-/// Lifecycle: Setup(per-peer data) → Train(completion callback) → any
+/// Lifecycle: SetupShards(per-peer data) → Train(completion callback) → any
 /// number of Predict() calls, all driven by Simulator::RunUntil.
 class P2PClassifier {
  public:
   virtual ~P2PClassifier() = default;
 
-  /// Installs the per-peer training datasets; peer_data[i] belongs to
-  /// underlay node i. Must be called once before Train.
-  virtual Status Setup(std::vector<MultiLabelDataset> peer_data,
-                       TagId num_tags) = 0;
-
-  /// Flyweight setup: per-peer DatasetShard views into a shared immutable
-  /// corpus (see DistributeDataShared). The default materializes each shard
-  /// and delegates to Setup, so every protocol accepts shards; protocols
-  /// built for scale (CEMPaR, PACE) override this to store the views
-  /// directly and never copy a document. Results are bit-identical either
-  /// way.
+  /// Installs the per-peer training data: peer_data[i] is underlay node i's
+  /// DatasetShard view into a shared immutable corpus (see
+  /// DistributeDataShared; DatasetShard::Own wraps hand-built data). Must
+  /// be called once before Train.
   virtual Status SetupShards(std::vector<DatasetShard> peer_data,
-                             TagId num_tags) {
-    std::vector<MultiLabelDataset> materialized;
-    materialized.reserve(peer_data.size());
-    for (const DatasetShard& shard : peer_data) {
-      materialized.push_back(shard.Materialize());
-    }
-    return Setup(std::move(materialized), num_tags);
-  }
+                             TagId num_tags) = 0;
 
   /// Starts the distributed training protocol. `on_complete` fires (in
   /// simulated time) when the protocol quiesces.

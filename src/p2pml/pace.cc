@@ -46,15 +46,6 @@ Pace::Pace(Simulator& sim, PhysicalNetwork& net, Overlay& overlay,
   }
 }
 
-Status Pace::Setup(std::vector<MultiLabelDataset> peer_data, TagId num_tags) {
-  std::vector<DatasetShard> shards;
-  shards.reserve(peer_data.size());
-  for (MultiLabelDataset& data : peer_data) {
-    shards.push_back(DatasetShard::Own(std::move(data)));
-  }
-  return SetupShards(std::move(shards), num_tags);
-}
-
 Status Pace::SetupShards(std::vector<DatasetShard> peer_data, TagId num_tags) {
   if (peer_data.size() != net_.num_nodes()) {
     return Status::InvalidArgument(

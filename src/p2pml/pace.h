@@ -101,11 +101,9 @@ class Pace final : public P2PClassifier {
   Pace(Simulator& sim, PhysicalNetwork& net, Overlay& overlay,
        PaceOptions options = {});
 
-  Status Setup(std::vector<MultiLabelDataset> peer_data,
-               TagId num_tags) override;
-  /// Native flyweight path: stores the shard views directly — per-peer
-  /// training data is never copied. Training materializes each binary
-  /// reduction lazily, per (peer, tag), and drops it right after the fit.
+  /// Stores the shard views directly — per-peer training data is never
+  /// copied. Training materializes each binary reduction lazily, per
+  /// (peer, tag), and drops it right after the fit.
   Status SetupShards(std::vector<DatasetShard> peer_data,
                      TagId num_tags) override;
   void Train(std::function<void(Status)> on_complete) override;
@@ -262,8 +260,7 @@ class Pace final : public P2PClassifier {
   void RefreshRepair(NodeId peer, std::size_t round,
                      std::function<void()> done);
 
-  /// Per-peer flyweight views into the shared training corpus (legacy
-  /// Setup wraps its materialized datasets into single-peer shards).
+  /// Per-peer flyweight views into the shared training corpus.
   std::vector<DatasetShard> peer_data_;
   TagId num_tags_ = 0;
   std::vector<PeerModel> models_;  // one per underlay node

@@ -46,7 +46,9 @@ P2PPrediction PredictSync(Environment& env, Algo& algo, NodeId requester,
 template <typename Algo>
 Status TrainSync(Environment& env, Algo& algo,
                  std::vector<MultiLabelDataset> data, TagId num_tags) {
-  P2PDT_RETURN_IF_ERROR(algo.Setup(std::move(data), num_tags));
+  std::vector<DatasetShard> shards;
+  for (MultiLabelDataset& d : data) shards.push_back(DatasetShard::Own(d));
+  P2PDT_RETURN_IF_ERROR(algo.SetupShards(std::move(shards), num_tags));
   bool done = false;
   Status status = Status::OK();
   algo.Train([&](Status s) {
@@ -98,7 +100,7 @@ TEST(CentralizedTest, RejectsBadCoordinator) {
   CentralizedOptions opt;
   opt.coordinator = 99;
   CentralizedClassifier algo(env->sim(), env->net(), opt);
-  EXPECT_FALSE(algo.Setup(MakePeerData(4, 4, 4), 3).ok());
+  EXPECT_FALSE(TrainSync(*env, algo, MakePeerData(4, 4, 4), 3).ok());
 }
 
 TEST(LocalOnlyTest, ZeroCommunication) {

@@ -5,34 +5,10 @@
 #include <gtest/gtest.h>
 
 #include "p2pdmt/environment.h"
+#include "peer_data.h"
 
 namespace p2pdt {
 namespace {
-
-// Four tags, each tied to a distinct feature; peers specialize in two tags.
-std::vector<MultiLabelDataset> MakePeerData(std::size_t num_peers,
-                                            std::size_t per_peer,
-                                            uint64_t seed) {
-  Rng rng(seed);
-  std::vector<MultiLabelDataset> peers(num_peers, MultiLabelDataset(4));
-  for (std::size_t p = 0; p < num_peers; ++p) {
-    for (std::size_t i = 0; i < per_peer; ++i) {
-      TagId tag = static_cast<TagId>((p + i) % 4);
-      MultiLabelExample ex;
-      ex.x = SparseVector::FromPairs(
-          {{tag * 3 + static_cast<uint32_t>(rng.NextU64(3)), 1.0},
-           {12 + static_cast<uint32_t>(rng.NextU64(4)),
-            0.3 * rng.NextDouble()}});
-      ex.tags = {tag};
-      peers[p].Add(std::move(ex));
-    }
-  }
-  return peers;
-}
-
-SparseVector TagVector(TagId tag) {
-  return SparseVector::FromPairs({{tag * 3u, 1.0}, {tag * 3u + 1, 1.0}});
-}
 
 struct Fixture {
   std::unique_ptr<Environment> env;
@@ -50,7 +26,7 @@ struct Fixture {
   }
 
   Status Train(std::vector<MultiLabelDataset> data) {
-    P2PDT_RETURN_IF_ERROR(cempar->Setup(std::move(data), 4));
+    P2PDT_RETURN_IF_ERROR(cempar->SetupShards(OwnShards(std::move(data)), 4));
     bool done = false;
     Status status = Status::OK();
     cempar->Train([&](Status s) {
@@ -77,7 +53,7 @@ struct Fixture {
 
 TEST(CemparTest, SetupRequiresMatchingPeerCount) {
   Fixture f(8);
-  EXPECT_FALSE(f.cempar->Setup(std::vector<MultiLabelDataset>(3), 4).ok());
+  EXPECT_FALSE(f.cempar->SetupShards(std::vector<DatasetShard>(3), 4).ok());
 }
 
 TEST(CemparTest, TrainBuildsHomesForEveryTag) {
@@ -110,7 +86,7 @@ TEST(CemparTest, PredictionsWorkFromEveryRequester) {
 
 TEST(CemparTest, PredictBeforeTrainFails) {
   Fixture f(6);
-  ASSERT_TRUE(f.cempar->Setup(MakePeerData(6, 4, 4), 4).ok());
+  ASSERT_TRUE(f.cempar->SetupShards(OwnShards(MakePeerData(6, 4, 4)), 4).ok());
   P2PPrediction p = f.PredictSync(0, TagVector(0));
   EXPECT_FALSE(p.success);
 }

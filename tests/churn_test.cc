@@ -7,6 +7,7 @@
 #include "p2pdmt/environment.h"
 #include "p2pml/cempar.h"
 #include "p2pml/pace.h"
+#include "peer_data.h"
 
 namespace p2pdt {
 namespace {
@@ -125,27 +126,6 @@ TEST(ChurnDriverTest, DeterministicInSeed) {
 // not as an empty "successful" prediction.
 // ---------------------------------------------------------------------------
 
-// Four tags, each tied to a distinct feature; peers specialize in two tags.
-std::vector<MultiLabelDataset> MakeChurnPeerData(std::size_t num_peers,
-                                                 std::size_t per_peer,
-                                                 uint64_t seed) {
-  Rng data_rng(seed);
-  std::vector<MultiLabelDataset> peers(num_peers, MultiLabelDataset(4));
-  for (std::size_t p = 0; p < num_peers; ++p) {
-    for (std::size_t i = 0; i < per_peer; ++i) {
-      TagId tag = static_cast<TagId>((p + i) % 4);
-      MultiLabelExample ex;
-      ex.x = SparseVector::FromPairs(
-          {{tag * 3 + static_cast<uint32_t>(data_rng.NextU64(3)), 1.0},
-           {12 + static_cast<uint32_t>(data_rng.NextU64(4)),
-            0.3 * data_rng.NextDouble()}});
-      ex.tags = {tag};
-      peers[p].Add(std::move(ex));
-    }
-  }
-  return peers;
-}
-
 TEST(ChurnPredictionTest, CemparAllSuperPeersFailMidPrediction) {
   EnvironmentOptions eo;
   eo.num_peers = 16;
@@ -153,7 +133,8 @@ TEST(ChurnPredictionTest, CemparAllSuperPeersFailMidPrediction) {
   CemparOptions opt;
   opt.svm.kernel = Kernel::Linear();
   Cempar cempar(env->sim(), env->net(), *env->chord(), opt);
-  ASSERT_TRUE(cempar.Setup(MakeChurnPeerData(16, 8, 21), 4).ok());
+  ASSERT_TRUE(
+      cempar.SetupShards(OwnShards(MakePeerData(16, 8, 21)), 4).ok());
   bool trained = false;
   cempar.Train([&](Status s) {
     ASSERT_TRUE(s.ok());
@@ -198,7 +179,8 @@ TEST(ChurnPredictionTest, PaceRequesterWithNoModelsFailsPromptly) {
   eo.num_peers = 10;
   auto env = std::move(Environment::Create(eo)).value();
   Pace pace(env->sim(), env->net(), env->overlay(), {});
-  ASSERT_TRUE(pace.Setup(MakeChurnPeerData(10, 8, 22), 4).ok());
+  ASSERT_TRUE(
+      pace.SetupShards(OwnShards(MakePeerData(10, 8, 22)), 4).ok());
   env->net().SetOnline(7, false);
   bool trained = false;
   pace.Train([&](Status) { trained = true; });

@@ -91,7 +91,7 @@ TEST(MultiLabelDatasetTest, MergeCombinesAndGrowsTagUniverse) {
   MultiLabelDataset a(2), b(5);
   a.Add(Ex({{0, 1.0}}, {0}));
   b.Add(Ex({{1, 1.0}}, {4}));
-  a.Merge(b);
+  a.Merge(DatasetShard::Own(b));
   EXPECT_EQ(a.size(), 2u);
   EXPECT_EQ(a.num_tags(), 5u);
 }

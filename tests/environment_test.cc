@@ -4,6 +4,7 @@
 
 #include "p2pdmt/sim_scorer.h"
 #include "p2pml/baselines.h"
+#include "peer_data.h"
 
 namespace p2pdt {
 namespace {
@@ -123,7 +124,7 @@ TEST(SimScorerTest, BridgesPredictionsSynchronously) {
       peers[p].Add(std::move(ex));
     }
   }
-  ASSERT_TRUE(algo.Setup(std::move(peers), 2).ok());
+  ASSERT_TRUE(algo.SetupShards(OwnShards(std::move(peers)), 2).ok());
   bool done = false;
   algo.Train([&](Status) { done = true; });
   env->RunUntilFlag(done, 600);
@@ -139,7 +140,7 @@ TEST(SimScorerTest, FailureYieldsEmptyScores) {
   opt.num_peers = 3;
   auto env = std::move(Environment::Create(opt)).value();
   LocalOnlyClassifier algo(env->sim(), env->net());
-  ASSERT_TRUE(algo.Setup(std::vector<MultiLabelDataset>(3), 2).ok());
+  ASSERT_TRUE(algo.SetupShards(std::vector<DatasetShard>(3), 2).ok());
   // Never trained: predictions fail, scorer returns empty.
   GlobalScorer scorer = MakeSimScorer(algo, *env, 0);
   EXPECT_TRUE(scorer(SparseVector::FromPairs({{0, 1.0}})).empty());

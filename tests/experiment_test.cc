@@ -142,5 +142,50 @@ TEST(ExperimentTest, DeterministicInSeed) {
   EXPECT_EQ(a->train_bytes, b->train_bytes);
 }
 
+// Pins every algorithm's exact outputs on a fixed heterogeneous
+// distribution (non-IID tags, Zipf peer sizes): any change in how peer data
+// reaches a classifier that moves one prediction, message or byte fails
+// here.
+TEST(ExperimentTest, PinnedOutputsPerAlgorithm) {
+  struct Pin {
+    AlgorithmType algorithm;
+    double macro_f1;
+    double micro_f1;
+    std::size_t failed_predictions;
+    uint64_t train_messages;
+    uint64_t train_bytes;
+    uint64_t predict_messages;
+    uint64_t predict_bytes;
+  };
+  const Pin pins[] = {
+      {AlgorithmType::kCempar, 0.92980824153406771, 0.93203883495145634, 0,
+       151, 209764, 1246, 238868},
+      {AlgorithmType::kPace, 0.8917555326224057, 0.87557603686635943, 0, 240,
+       2400240, 0, 0},
+      {AlgorithmType::kCentralized, 0.98818752307124402, 0.98999999999999999,
+       0, 15, 49940, 152, 54732},
+      {AlgorithmType::kLocalOnly, 0.31315235528173535, 0.40625, 0, 0, 0, 0,
+       0},
+      {AlgorithmType::kModelAvg, 0.87054939924116981, 0.85981308411214952, 0,
+       195, 1584360, 0, 0},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE(AlgorithmTypeToString(pin.algorithm));
+    ExperimentOptions opt = BaseOptions(pin.algorithm);
+    opt.env.num_peers = 16;
+    opt.distribution.cls = ClassDistribution::kNonIidDirichlet;
+    opt.distribution.size = SizeDistribution::kZipf;
+    Result<ExperimentResult> r = RunExperiment(SharedCorpus(), opt);
+    ASSERT_TRUE(r.ok()) << r.status().ToString();
+    EXPECT_EQ(r->metrics.macro_f1, pin.macro_f1);
+    EXPECT_EQ(r->metrics.micro_f1, pin.micro_f1);
+    EXPECT_EQ(r->failed_predictions, pin.failed_predictions);
+    EXPECT_EQ(r->train_messages, pin.train_messages);
+    EXPECT_EQ(r->train_bytes, pin.train_bytes);
+    EXPECT_EQ(r->predict_messages, pin.predict_messages);
+    EXPECT_EQ(r->predict_bytes, pin.predict_bytes);
+  }
+}
+
 }  // namespace
 }  // namespace p2pdt

@@ -16,6 +16,7 @@
 #include "p2pdmt/environment.h"
 #include "p2pdmt/experiment.h"
 #include "p2pml/cempar.h"
+#include "peer_data.h"
 
 namespace p2pdt {
 namespace {
@@ -23,26 +24,6 @@ namespace {
 // ---------------------------------------------------------------------------
 // Protocol-level fixture: CEMPaR on a lossy network with tracing + metrics.
 // ---------------------------------------------------------------------------
-
-std::vector<MultiLabelDataset> MakePeerData(std::size_t num_peers,
-                                            std::size_t per_peer,
-                                            uint64_t seed) {
-  Rng rng(seed);
-  std::vector<MultiLabelDataset> peers(num_peers, MultiLabelDataset(4));
-  for (std::size_t p = 0; p < num_peers; ++p) {
-    for (std::size_t i = 0; i < per_peer; ++i) {
-      TagId tag = static_cast<TagId>((p + i) % 4);
-      MultiLabelExample ex;
-      ex.x = SparseVector::FromPairs(
-          {{tag * 3 + static_cast<uint32_t>(rng.NextU64(3)), 1.0},
-           {12 + static_cast<uint32_t>(rng.NextU64(4)),
-            0.3 * rng.NextDouble()}});
-      ex.tags = {tag};
-      peers[p].Add(std::move(ex));
-    }
-  }
-  return peers;
-}
 
 struct LossyFixture {
   std::unique_ptr<Environment> env;
@@ -66,7 +47,8 @@ struct LossyFixture {
   }
 
   Status Train() {
-    P2PDT_RETURN_IF_ERROR(cempar->Setup(MakePeerData(12, 8, 17), 4));
+    P2PDT_RETURN_IF_ERROR(
+        cempar->SetupShards(OwnShards(MakePeerData(12, 8, 17)), 4));
     bool done = false;
     Status status = Status::OK();
     cempar->Train([&](Status s) {

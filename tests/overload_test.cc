@@ -43,44 +43,24 @@ struct Trained {
     Trained t;
     t.split = SplitCorpus(corpus, 0.2, 777);
 
-    EnvironmentOptions env_options;
-    env_options.num_peers = corpus.num_users;
-    env_options.observe.metrics = true;
-    Result<std::unique_ptr<Environment>> env = Environment::Create(env_options);
-    EXPECT_TRUE(env.ok());
-    t.env = std::move(env).value();
-
-    ExperimentOptions algo_options;
-    algo_options.algorithm = algorithm;
-    algo_options.pace.predict_cache = cache;
-    algo_options.cempar.predict_cache = cache;
-    Result<std::unique_ptr<P2PClassifier>> algo =
-        MakeClassifier(*t.env, algo_options);
-    EXPECT_TRUE(algo.ok());
-    t.algo = std::move(algo).value();
-
-    auto shared = std::make_shared<const MultiLabelDataset>(t.split.train);
-    DataDistributionOptions dist;
-    dist.cls = ClassDistribution::kByUser;
-    Result<std::vector<std::vector<uint32_t>>> indices = DistributeIndices(
-        *shared, corpus.num_users, dist, &t.split.train_user);
-    EXPECT_TRUE(indices.ok());
-    std::vector<DatasetShard> shards;
-    for (std::size_t p = 0; p < corpus.num_users; ++p) {
-      shards.emplace_back(shared, std::move((*indices)[p]));
-    }
-    EXPECT_TRUE(
-        t.algo->SetupShards(std::move(shards), corpus.dataset.num_tags())
-            .ok());
-
-    t.env->StartDynamics();
-    bool done = false;
-    t.algo->Train([&](Status s) {
-      EXPECT_TRUE(s.ok()) << s.ToString();
-      done = true;
-    });
-    t.env->RunUntilFlag(done, 3600.0);
-    EXPECT_TRUE(done);
+    ExperimentOptions options;
+    options.env.num_peers = corpus.num_users;
+    options.env.observe.metrics = true;
+    options.algorithm = algorithm;
+    options.pace.predict_cache = cache;
+    options.cempar.predict_cache = cache;
+    options.distribution.cls = ClassDistribution::kByUser;
+    Result<std::vector<DatasetShard>> shards = DistributeDataShared(
+        std::make_shared<const MultiLabelDataset>(t.split.train),
+        corpus.num_users, options.distribution, &t.split.train_user);
+    EXPECT_TRUE(shards.ok());
+    Result<ClassifierNetwork> network = SetUpNetwork(
+        options, std::move(shards).value(), corpus.dataset.num_tags());
+    EXPECT_TRUE(network.ok()) << network.status().ToString();
+    t.env = std::move(network->env);
+    t.algo = std::move(network->algo);
+    Result<double> trained = TrainToQuiescence(*t.env, *t.algo, 3600.0);
+    EXPECT_TRUE(trained.ok()) << trained.status().ToString();
     return t;
   }
 

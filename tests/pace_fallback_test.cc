@@ -11,29 +11,10 @@
 #include "ml/lsh.h"
 #include "p2pdmt/environment.h"
 #include "p2pml/pace.h"
+#include "peer_data.h"
 
 namespace p2pdt {
 namespace {
-
-std::vector<MultiLabelDataset> MakePeerData(std::size_t num_peers,
-                                            std::size_t per_peer,
-                                            uint64_t seed) {
-  Rng rng(seed);
-  std::vector<MultiLabelDataset> peers(num_peers, MultiLabelDataset(4));
-  for (std::size_t p = 0; p < num_peers; ++p) {
-    for (std::size_t i = 0; i < per_peer; ++i) {
-      TagId tag = static_cast<TagId>((p + i) % 4);
-      MultiLabelExample ex;
-      ex.x = SparseVector::FromPairs(
-          {{tag * 3 + static_cast<uint32_t>(rng.NextU64(3)), 1.0},
-           {12 + static_cast<uint32_t>(rng.NextU64(4)),
-            0.3 * rng.NextDouble()}});
-      ex.tags = {tag};
-      peers[p].Add(std::move(ex));
-    }
-  }
-  return peers;
-}
 
 struct Fixture {
   std::unique_ptr<Environment> env;
@@ -48,7 +29,7 @@ struct Fixture {
   }
 
   Status Train(std::vector<MultiLabelDataset> data) {
-    P2PDT_RETURN_IF_ERROR(pace->Setup(std::move(data), 4));
+    P2PDT_RETURN_IF_ERROR(pace->SetupShards(OwnShards(std::move(data)), 4));
     bool done = false;
     Status status = Status::OK();
     pace->Train([&](Status s) {

@@ -3,33 +3,10 @@
 #include <gtest/gtest.h>
 
 #include "p2pdmt/environment.h"
+#include "peer_data.h"
 
 namespace p2pdt {
 namespace {
-
-std::vector<MultiLabelDataset> MakePeerData(std::size_t num_peers,
-                                            std::size_t per_peer,
-                                            uint64_t seed) {
-  Rng rng(seed);
-  std::vector<MultiLabelDataset> peers(num_peers, MultiLabelDataset(4));
-  for (std::size_t p = 0; p < num_peers; ++p) {
-    for (std::size_t i = 0; i < per_peer; ++i) {
-      TagId tag = static_cast<TagId>((p + i) % 4);
-      MultiLabelExample ex;
-      ex.x = SparseVector::FromPairs(
-          {{tag * 3 + static_cast<uint32_t>(rng.NextU64(3)), 1.0},
-           {12 + static_cast<uint32_t>(rng.NextU64(4)),
-            0.3 * rng.NextDouble()}});
-      ex.tags = {tag};
-      peers[p].Add(std::move(ex));
-    }
-  }
-  return peers;
-}
-
-SparseVector TagVector(TagId tag) {
-  return SparseVector::FromPairs({{tag * 3u, 1.0}, {tag * 3u + 1, 1.0}});
-}
 
 struct Fixture {
   std::unique_ptr<Environment> env;
@@ -46,7 +23,7 @@ struct Fixture {
   }
 
   Status Train(std::vector<MultiLabelDataset> data) {
-    P2PDT_RETURN_IF_ERROR(pace->Setup(std::move(data), 4));
+    P2PDT_RETURN_IF_ERROR(pace->SetupShards(OwnShards(std::move(data)), 4));
     bool done = false;
     Status status = Status::OK();
     pace->Train([&](Status s) {
@@ -73,7 +50,7 @@ struct Fixture {
 
 TEST(PaceTest, SetupRequiresMatchingPeerCount) {
   Fixture f(8);
-  EXPECT_FALSE(f.pace->Setup(std::vector<MultiLabelDataset>(3), 4).ok());
+  EXPECT_FALSE(f.pace->SetupShards(std::vector<DatasetShard>(3), 4).ok());
 }
 
 TEST(PaceTest, FullCoverageOnStableNetwork) {
@@ -121,7 +98,7 @@ TEST(PaceTest, WorksOnUnstructuredOverlay) {
 TEST(PaceTest, OfflinePeersMissBroadcasts) {
   Fixture f(10);
   std::vector<MultiLabelDataset> data = MakePeerData(10, 8, 6);
-  ASSERT_TRUE(f.pace->Setup(std::move(data), 4).ok());
+  ASSERT_TRUE(f.pace->SetupShards(OwnShards(std::move(data)), 4).ok());
   f.env->net().SetOnline(7, false);
   bool done = false;
   f.pace->Train([&](Status) { done = true; });
@@ -160,7 +137,7 @@ TEST(PaceTest, UninformedModelsAbstain) {
 
 TEST(PaceTest, PredictBeforeTrainFails) {
   Fixture f(6);
-  ASSERT_TRUE(f.pace->Setup(MakePeerData(6, 4, 8), 4).ok());
+  ASSERT_TRUE(f.pace->SetupShards(OwnShards(MakePeerData(6, 4, 8)), 4).ok());
   EXPECT_FALSE(f.PredictSync(0, TagVector(0)).success);
 }
 

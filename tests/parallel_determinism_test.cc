@@ -38,11 +38,12 @@ const VectorizedCorpus& Corpus() {
   return corpus;
 }
 
-std::vector<MultiLabelDataset> PeerPartition(std::size_t num_peers) {
+std::vector<DatasetShard> PeerPartition(std::size_t num_peers) {
   DataDistributionOptions opt;
   opt.cls = ClassDistribution::kByUser;
-  Result<std::vector<MultiLabelDataset>> r = DistributeData(
-      Corpus().dataset, num_peers, opt, &Corpus().doc_user);
+  Result<std::vector<DatasetShard>> r = DistributeDataShared(
+      std::make_shared<const MultiLabelDataset>(Corpus().dataset), num_peers,
+      opt, &Corpus().doc_user);
   EXPECT_TRUE(r.ok()) << r.status().ToString();
   return std::move(r).value();
 }
@@ -124,7 +125,8 @@ TEST_F(ParallelDeterminismTest, CemparTrainIdentical1VsNThreads) {
     opt.num_threads = num_threads;
     Cempar cempar(env->sim(), env->net(), *env->chord(), opt);
     EXPECT_TRUE(
-        cempar.Setup(PeerPartition(12), Corpus().dataset.num_tags()).ok());
+        cempar.SetupShards(PeerPartition(12), Corpus().dataset.num_tags())
+            .ok());
     bool done = false;
     cempar.Train([&](Status s) {
       EXPECT_TRUE(s.ok());
@@ -163,7 +165,7 @@ TEST_F(ParallelDeterminismTest, PaceTrainIdentical1VsNThreads) {
     opt.num_threads = num_threads;
     Pace pace(env->sim(), env->net(), env->overlay(), opt);
     EXPECT_TRUE(
-        pace.Setup(PeerPartition(12), Corpus().dataset.num_tags()).ok());
+        pace.SetupShards(PeerPartition(12), Corpus().dataset.num_tags()).ok());
     bool done = false;
     pace.Train([&](Status s) {
       EXPECT_TRUE(s.ok());

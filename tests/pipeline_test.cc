@@ -40,12 +40,12 @@ struct PipelineFixture {
   }
 
   Status TrainOnSplit(const CorpusSplit& split) {
-    Result<std::vector<MultiLabelDataset>> peers =
-        DistributeData(split.train, 10, options.distribution,
-                       &split.train_user);
+    Result<std::vector<DatasetShard>> peers = DistributeDataShared(
+        std::make_shared<const MultiLabelDataset>(split.train), 10,
+        options.distribution, &split.train_user);
     P2PDT_RETURN_IF_ERROR(peers.status());
-    P2PDT_RETURN_IF_ERROR(algo->Setup(std::move(peers).value(),
-                                      vectorized.dataset.num_tags()));
+    P2PDT_RETURN_IF_ERROR(algo->SetupShards(std::move(peers).value(),
+                                            vectorized.dataset.num_tags()));
     bool done = false;
     Status status = Status::OK();
     algo->Train([&](Status s) {

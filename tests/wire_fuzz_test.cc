@@ -278,7 +278,7 @@ class RestoreFuzzTest : public ::testing::Test {
     EXPECT_TRUE(algo.Restore(peer, blob).ok());
   }
 
-  std::vector<MultiLabelDataset> Partition() {
+  std::vector<DatasetShard> Partition() {
     CorpusOptions copt;
     copt.num_users = kPeers;
     copt.min_docs_per_user = 15;
@@ -289,9 +289,10 @@ class RestoreFuzzTest : public ::testing::Test {
     corpus_ = std::move(MakeVectorizedCorpus(copt)).value();
     DataDistributionOptions dopt;
     dopt.cls = ClassDistribution::kIid;
-    return std::move(
-               DistributeData(corpus_.dataset, kPeers, dopt,
-                              &corpus_.doc_user))
+    return std::move(DistributeDataShared(
+                         std::make_shared<const MultiLabelDataset>(
+                             corpus_.dataset),
+                         kPeers, dopt, &corpus_.doc_user))
         .value();
   }
 
@@ -303,8 +304,9 @@ TEST_F(RestoreFuzzTest, PaceRestoreSurvivesHostileBlobs) {
   eo.num_peers = kPeers;
   auto env = std::move(Environment::Create(eo)).value();
   Pace pace(env->sim(), env->net(), env->overlay(), {});
-  std::vector<MultiLabelDataset> parts = Partition();
-  ASSERT_TRUE(pace.Setup(std::move(parts), corpus_.dataset.num_tags()).ok());
+  std::vector<DatasetShard> parts = Partition();
+  ASSERT_TRUE(
+      pace.SetupShards(std::move(parts), corpus_.dataset.num_tags()).ok());
   bool done = false;
   pace.Train([&](Status s) {
     EXPECT_TRUE(s.ok());
@@ -322,8 +324,9 @@ TEST_F(RestoreFuzzTest, CemparRestoreSurvivesHostileBlobs) {
   CemparOptions opt;
   opt.svm.kernel = Kernel::Linear();
   Cempar cempar(env->sim(), env->net(), *env->chord(), opt);
-  std::vector<MultiLabelDataset> parts = Partition();
-  ASSERT_TRUE(cempar.Setup(std::move(parts), corpus_.dataset.num_tags()).ok());
+  std::vector<DatasetShard> parts = Partition();
+  ASSERT_TRUE(
+      cempar.SetupShards(std::move(parts), corpus_.dataset.num_tags()).ok());
   bool done = false;
   cempar.Train([&](Status s) {
     EXPECT_TRUE(s.ok());
@@ -344,8 +347,9 @@ TEST_F(RestoreFuzzTest, PaceRestoreClampsCheckpointedAccuracies) {
   eo.num_peers = kPeers;
   auto env = std::move(Environment::Create(eo)).value();
   Pace pace(env->sim(), env->net(), env->overlay(), {});
-  std::vector<MultiLabelDataset> parts = Partition();
-  ASSERT_TRUE(pace.Setup(std::move(parts), corpus_.dataset.num_tags()).ok());
+  std::vector<DatasetShard> parts = Partition();
+  ASSERT_TRUE(
+      pace.SetupShards(std::move(parts), corpus_.dataset.num_tags()).ok());
   bool done = false;
   pace.Train([&](Status s) { done = s.ok(); });
   env->RunUntilFlag(done, 3600);
