@@ -34,26 +34,33 @@ void ApplyDefenseTuning(ExperimentOptions& opt) {
   opt.distribution.cls = ClassDistribution::kIid;
 }
 
-void PrintHeader() {
+/// Runs the poisoning grid with the defense tuning applied, printing a
+/// progress line per point; writes bench_results/byzantine.csv and returns
+/// the bench's exit code.
+int RunGrid(const VectorizedCorpus& corpus, ExperimentOptions base,
+            const std::vector<double>& flip_fractions,
+            const std::vector<AdversaryBehavior>& other_behaviors) {
+  ApplyDefenseTuning(base);
   std::printf("%-8s %-18s %5s %4s %4s %8s %8s %9s %9s %7s\n", "algo",
               "adversary", "frac", "bad", "def", "macroF1", "microF1",
               "rejected", "discarded", "quarant");
-}
-
-ByzantineSweepOptions CommonSweep(ExperimentOptions base) {
-  ByzantineSweepOptions sweep;
-  sweep.base = std::move(base);
-  ApplyDefenseTuning(sweep.base);
-  sweep.on_point = [](const ByzantineRow& row) {
-    std::printf(
-        "%-8s %-18s %5.2f %4zu %4s %8.4f %8.4f %9llu %9llu %7llu\n",
-        row.algorithm.c_str(), row.adversary.c_str(), row.malicious_fraction,
-        row.malicious_peers, row.defended ? "on" : "off", row.macro_f1,
-        row.micro_f1, static_cast<unsigned long long>(row.models_rejected),
-        static_cast<unsigned long long>(row.votes_discarded),
-        static_cast<unsigned long long>(row.quarantined_pairs));
-  };
-  return sweep;
+  SweepResult sweep = RunSweep(
+      corpus, ByzantineGrid(base, flip_fractions, other_behaviors),
+      [](const SweepRow& row) {
+        const ExperimentResult& r = row.result;
+        std::printf(
+            "%-8s %-18s %5.2f %4zu %4s %8.4f %8.4f %9llu %9llu %7llu\n",
+            r.algorithm.c_str(), row.point.adversary.c_str(),
+            row.point.malicious_fraction,
+            row.point.options.env.fault.adversaries.size(),
+            row.point.options.cempar.sanitize.enabled ? "on" : "off",
+            r.metrics.macro_f1, r.metrics.micro_f1,
+            static_cast<unsigned long long>(r.models_rejected),
+            static_cast<unsigned long long>(r.votes_discarded),
+            static_cast<unsigned long long>(r.quarantined_pairs));
+      });
+  WriteResults(ByzantineCsv(sweep.rows), "byzantine.csv");
+  return ReportSweepFailures(sweep);
 }
 
 int RunSmoke() {
@@ -71,19 +78,11 @@ int RunSmoke() {
     return 1;
   }
 
-  ByzantineSweepOptions sweep = CommonSweep(MacroDefaults(
-      AlgorithmType::kPace, /*num_peers=*/10));
-  sweep.base.max_test_documents = 40;
-  sweep.flip_fractions = {0.3};
-  sweep.other_behaviors = {AdversaryBehavior::kGarbageModel};
-  PrintHeader();
-  std::vector<ByzantineRow> rows = RunByzantineSweep(corpus.value(), sweep);
-  if (rows.empty()) {
-    std::fprintf(stderr, "smoke sweep produced no rows\n");
-    return 1;
-  }
-  WriteResults(ByzantineCsv(rows), "byzantine.csv");
-  return 0;
+  ExperimentOptions base = MacroDefaults(AlgorithmType::kPace,
+                                         /*num_peers=*/10);
+  base.max_test_documents = 40;
+  return RunGrid(corpus.value(), base, /*flip_fractions=*/{0.3},
+                 /*other_behaviors=*/{AdversaryBehavior::kGarbageModel});
 }
 
 }  // namespace
@@ -95,11 +94,14 @@ int main(int argc, char** argv) {
   const VectorizedCorpus& corpus = SharedCorpus(/*num_users=*/128,
                                                 /*num_tags=*/12);
 
-  ByzantineSweepOptions sweep = CommonSweep(MacroDefaults(
-      AlgorithmType::kPace, /*num_peers=*/64));
-  sweep.base.max_test_documents = 200;
-  PrintHeader();
-  std::vector<ByzantineRow> rows = RunByzantineSweep(corpus, sweep);
-  WriteResults(ByzantineCsv(rows), "byzantine.csv");
-  return 0;
+  ExperimentOptions base = MacroDefaults(AlgorithmType::kPace,
+                                         /*num_peers=*/64);
+  base.max_test_documents = 200;
+  // Label-flip is the headline attack, swept across fractions; the other
+  // behaviors run at one fraction.
+  return RunGrid(corpus, base, /*flip_fractions=*/{0.1, 0.2, 0.3, 0.4},
+                 /*other_behaviors=*/{AdversaryBehavior::kGarbageModel,
+                                      AdversaryBehavior::kDimensionMismatch,
+                                      AdversaryBehavior::kAccuracyInflate,
+                                      AdversaryBehavior::kVoteSpam});
 }

@@ -51,27 +51,27 @@ int main() {
   std::printf("%-12s %-12s %-5s %8s %8s %7s %9s %12s\n", "algorithm", "churn",
               "mode", "macroF1", "rejoins", "warm", "retrain", "lat(mean s)");
 
-  ChurnSweepOptions sweep;
-  sweep.base = MacroDefaults(AlgorithmType::kPace, 96);
-  sweep.base.max_test_documents = 200;
+  ExperimentOptions base = MacroDefaults(AlgorithmType::kPace, 96);
+  base.max_test_documents = 200;
   // Moderate churn: ~6% of peers offline at any instant, ~100 rejoins over
   // the exposure window. Heavier settings leave so many anti-entropy repairs
   // in flight at eval time that CEMPaR's DHT-side quality becomes dominated
   // by repair *timing* noise rather than by peer state, which is the wrong
   // thing to compare warm vs cold on.
-  sweep.base.env.churn_mean_online_sec = 450.0;
-  sweep.base.env.churn_mean_offline_sec = 30.0;
-  sweep.exposure_sim_seconds = 600.0;
-  sweep.on_point = [](const ChurnRow& row) {
-    std::printf("%-12s %-12s %-5s %8.4f %8llu %7llu %9llu %12.3f\n",
-                row.algorithm.c_str(), row.churn.c_str(),
-                row.rejoin_mode.c_str(), row.macro_f1,
-                static_cast<unsigned long long>(row.rejoins),
-                static_cast<unsigned long long>(row.warm_rejoins),
-                static_cast<unsigned long long>(row.retrain_examples),
-                row.mean_rejoin_latency_sec);
-  };
-  std::vector<ChurnRow> rows = RunWarmColdSweep(corpus, sweep);
-  WriteResults(ChurnCsv(rows), "churn.csv");
-  return 0;
+  base.env.churn_mean_online_sec = 450.0;
+  base.env.churn_mean_offline_sec = 30.0;
+  SweepResult sweep =
+      RunSweep(corpus, WarmColdGrid(base), [](const SweepRow& row) {
+        const ExperimentResult& r = row.result;
+        std::printf("%-12s %-12s %-5s %8.4f %8llu %7llu %9llu %12.3f\n",
+                    r.algorithm.c_str(), r.churn.c_str(),
+                    row.point.options.recovery.warm_rejoin ? "warm" : "cold",
+                    r.metrics.macro_f1,
+                    static_cast<unsigned long long>(r.churn_rejoins),
+                    static_cast<unsigned long long>(r.warm_rejoins),
+                    static_cast<unsigned long long>(r.retrain_examples),
+                    r.mean_rejoin_latency_sec);
+      });
+  WriteResults(ChurnCsv(sweep.rows), "churn.csv");
+  return ReportSweepFailures(sweep);
 }

@@ -20,25 +20,24 @@ int main() {
   const VectorizedCorpus& corpus = SharedCorpus(/*num_users=*/128,
                                                 /*num_tags=*/12);
 
-  RobustnessSweepOptions sweep;
-  sweep.base = MacroDefaults(AlgorithmType::kPace, 64);
-  sweep.base.max_test_documents = 200;
-  sweep.loss_rates = {0.0, 0.1, 0.2};
-  sweep.plans = CanonicalFaultPlans(sweep.base.env.num_peers,
-                                    /*horizon=*/120.0);
+  ExperimentOptions base = MacroDefaults(AlgorithmType::kPace, 64);
+  base.max_test_documents = 200;
+  std::vector<SweepPoint> points = RobustnessGrid(
+      base, /*loss_rates=*/{0.0, 0.1, 0.2},
+      CanonicalFaultPlans(base.env.num_peers, /*horizon=*/120.0));
 
   std::printf("%-8s %-10s %5s %4s %8s %8s %8s %8s %8s\n", "algo", "plan",
               "loss", "rel", "macroF1", "success", "deliv", "retxovh",
               "coverage");
-  sweep.on_point = [](const RobustnessRow& row) {
+  SweepResult sweep = RunSweep(corpus, points, [](const SweepRow& row) {
+    const ExperimentResult& r = row.result;
     std::printf("%-8s %-10s %5.2f %4s %8.4f %8.4f %8.4f %8.4f %8.4f\n",
-                row.algorithm.c_str(), row.plan.c_str(), row.loss_rate,
-                row.reliable ? "on" : "off", row.macro_f1,
-                row.prediction_success_rate, row.delivery_rate,
-                row.retry_overhead, row.model_coverage);
-  };
-
-  std::vector<RobustnessRow> rows = RunRobustnessSweep(corpus, sweep);
-  WriteResults(RobustnessCsv(rows), "fault.csv");
-  return 0;
+                r.algorithm.c_str(), row.point.plan.c_str(),
+                row.point.options.env.physical.loss_rate,
+                row.point.options.cempar.reliable_transport ? "on" : "off",
+                r.metrics.macro_f1, r.prediction_success_rate(),
+                r.delivery_rate, r.retry_overhead(), r.model_coverage);
+  });
+  WriteResults(RobustnessCsv(sweep.rows), "fault.csv");
+  return ReportSweepFailures(sweep);
 }

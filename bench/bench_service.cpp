@@ -156,10 +156,6 @@ CsvWriter ServiceCsv(const std::vector<ServiceRow>& rows) {
                  "fault_resets", "fault_stalls_reaped", "fault_typed_errors",
                  "fault_predicts_ok", "fault_liveness_ok"});
   char buf[32];
-  auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return std::string(buf);
-  };
   auto hex = [&buf](uint64_t v) {
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(v));
@@ -173,10 +169,11 @@ CsvWriter ServiceCsv(const std::vector<ServiceRow>& rows) {
                 std::to_string(r.degraded), std::to_string(r.cached),
                 std::to_string(r.failed), std::to_string(r.shed),
                 std::to_string(r.retries), std::to_string(r.within_slo),
-                std::to_string(row.replay.io_errors), fmt(r.p50_latency),
-                fmt(r.p95_latency), fmt(r.p99_latency),
-                fmt(row.replay.achieved_rate), fmt(row.replay.wall_seconds),
-                fmt(row.train_wall_s), hex(r.fingerprint),
+                std::to_string(row.replay.io_errors), CsvNumber(r.p50_latency),
+                CsvNumber(r.p95_latency), CsvNumber(r.p99_latency),
+                CsvNumber(row.replay.achieved_rate),
+                CsvNumber(row.replay.wall_seconds),
+                CsvNumber(row.train_wall_s), hex(r.fingerprint),
                 std::to_string(d.accepted), std::to_string(d.requests),
                 std::to_string(d.malformed_frames + d.malformed_payloads),
                 std::to_string(d.oversized_frames),

@@ -90,6 +90,18 @@ inline void WriteResults(const CsvWriter& csv, const std::string& name) {
   out << json;
 }
 
+/// Names every failed sweep point on stderr. Returns the bench's exit code:
+/// non-zero when any point failed, so a short CSV never passes.
+inline int ReportSweepFailures(const SweepResult& sweep) {
+  if (sweep.failed.empty()) return 0;
+  std::fprintf(stderr, "%zu of %zu sweep points failed:\n",
+               sweep.failed.size(), sweep.failed.size() + sweep.rows.size());
+  for (const std::string& failure : sweep.failed) {
+    std::fprintf(stderr, "  %s\n", failure.c_str());
+  }
+  return 1;
+}
+
 /// Machine-readable bench emitter for the regression gate.
 ///
 /// Each bench point carries two metric families: `deterministic` values

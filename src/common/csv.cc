@@ -22,11 +22,7 @@ Status CsvWriter::AddRow(std::vector<std::string> row) {
 Status CsvWriter::AddNumericRow(const std::vector<double>& row) {
   std::vector<std::string> formatted;
   formatted.reserve(row.size());
-  for (double v : row) {
-    char buf[32];
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    formatted.emplace_back(buf);
-  }
+  for (double v : row) formatted.push_back(CsvNumber(v));
   return AddRow(std::move(formatted));
 }
 
@@ -50,6 +46,12 @@ Status CsvWriter::WriteFile(const std::string& path) const {
   f << ToString();
   if (!f) return Status::IOError("short write to " + path);
   return Status::OK();
+}
+
+std::string CsvNumber(double v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%.6g", v);
+  return buf;
 }
 
 std::string CsvEscape(const std::string& field) {

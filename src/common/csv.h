@@ -24,7 +24,7 @@ class CsvWriter {
   /// Appends a row; must match the header width.
   Status AddRow(std::vector<std::string> row);
 
-  /// Convenience: formats doubles with %.6g.
+  /// Convenience: formats doubles with CsvNumber.
   Status AddNumericRow(const std::vector<double>& row);
 
   /// Renders the full table, header first, '\n' line endings.
@@ -37,6 +37,9 @@ class CsvWriter {
   std::vector<std::string> header_;
   std::vector<std::vector<std::string>> rows_;
 };
+
+/// Formats a numeric field the way every CSV here does: %.6g.
+std::string CsvNumber(double v);
 
 /// Escapes one CSV field per RFC 4180 (quotes only when needed).
 std::string CsvEscape(const std::string& field);

@@ -1,9 +1,7 @@
 #include "p2pdmt/byzantine.h"
 
 #include <algorithm>
-#include <cstdio>
 
-#include "common/logging.h"
 #include "common/rng.h"
 
 namespace p2pdt {
@@ -35,116 +33,74 @@ FaultPlanSpec MakeAdversaryPlan(std::size_t num_peers,
 
 namespace {
 
-ByzantineRow MakeRow(const ExperimentResult& r, const std::string& adversary,
-                     double fraction, std::size_t malicious, bool defended) {
-  ByzantineRow row;
-  row.algorithm = r.algorithm;
-  row.adversary = adversary;
-  row.malicious_fraction = fraction;
-  row.malicious_peers = malicious;
-  row.defended = defended;
-  row.micro_f1 = r.metrics.micro_f1;
-  row.macro_f1 = r.metrics.macro_f1;
-  row.test_documents = r.test_documents;
-  row.prediction_success_rate =
-      r.test_documents == 0
-          ? 1.0
-          : 1.0 - static_cast<double>(r.failed_predictions) /
-                      static_cast<double>(r.test_documents);
-  row.models_rejected = r.models_rejected;
-  row.votes_discarded = r.votes_discarded;
-  row.quarantined_pairs = r.quarantined_pairs;
-  row.trust_observations = r.trust_observations;
-  row.train_bytes = r.train_bytes;
-  row.train_sim_seconds = r.train_sim_seconds;
-  return row;
-}
+/// Malicious fraction for every behavior other than label-flip.
+constexpr double kOtherFraction = 0.3;
 
-/// One sweep point: configure the arm, run, convert. Returns false when the
-/// underlying experiment failed.
-bool RunPoint(const VectorizedCorpus& corpus,
-              const ByzantineSweepOptions& options, AlgorithmType algo,
-              AdversaryBehavior behavior, double fraction, bool defended,
-              std::vector<ByzantineRow>& rows) {
-  ExperimentOptions opt = options.base;
+SweepPoint AdversaryPoint(const ExperimentOptions& base, AlgorithmType algo,
+                          bool defended, AdversaryBehavior behavior,
+                          double fraction) {
+  SweepPoint point{base};
+  point.adversary = behavior == AdversaryBehavior::kHonest
+                        ? "none"
+                        : AdversaryBehaviorToString(behavior);
+  point.malicious_fraction = fraction;
+  ExperimentOptions& opt = point.options;
   opt.algorithm = algo;
-  FaultPlanSpec plan = MakeAdversaryPlan(opt.env.num_peers, behavior,
-                                         fraction, opt.seed);
-  const std::size_t malicious = plan.adversaries.size();
-  opt.env.fault = plan;
+  opt.env.fault =
+      MakeAdversaryPlan(opt.env.num_peers, behavior, fraction, opt.seed);
   opt.cempar.sanitize.enabled = defended;
   opt.pace.sanitize.enabled = defended;
   opt.cempar.reputation.enabled = defended;
   opt.pace.reputation.enabled = defended;
-
-  Result<ExperimentResult> r = RunExperiment(corpus, opt);
-  const std::string label = behavior == AdversaryBehavior::kHonest
-                                ? "none"
-                                : AdversaryBehaviorToString(behavior);
-  if (!r.ok()) {
-    P2PDT_LOG(Warning) << AlgorithmTypeToString(algo) << " adversary=" << label
-                       << " fraction=" << fraction << " defended=" << defended
-                       << " failed: " << r.status().ToString();
-    return false;
-  }
-  rows.push_back(MakeRow(*r, label, fraction, malicious, defended));
-  if (options.on_point) options.on_point(rows.back());
-  return true;
+  return point;
 }
 
 }  // namespace
 
-std::vector<ByzantineRow> RunByzantineSweep(
-    const VectorizedCorpus& corpus, const ByzantineSweepOptions& options) {
-  std::vector<ByzantineRow> rows;
-  std::vector<bool> arms;
-  if (options.compare_defense) {
-    arms = {true, false};
-  } else {
-    arms = {true};
-  }
-
-  for (AlgorithmType algo : options.algorithms) {
-    for (bool defended : arms) {
+std::vector<SweepPoint> ByzantineGrid(
+    const ExperimentOptions& base, const std::vector<double>& flip_fractions,
+    const std::vector<AdversaryBehavior>& other_behaviors) {
+  std::vector<SweepPoint> points;
+  for (AlgorithmType algo : kSweepAlgorithms) {
+    for (bool defended : {true, false}) {
       // Clean baseline for this arm: the reference every degradation in the
       // acceptance criterion is measured against.
-      RunPoint(corpus, options, algo, AdversaryBehavior::kHonest, 0.0,
-               defended, rows);
-      for (double fraction : options.flip_fractions) {
-        RunPoint(corpus, options, algo, AdversaryBehavior::kLabelFlip,
-                 fraction, defended, rows);
+      points.push_back(AdversaryPoint(base, algo, defended,
+                                      AdversaryBehavior::kHonest, 0.0));
+      for (double fraction : flip_fractions) {
+        points.push_back(AdversaryPoint(base, algo, defended,
+                                        AdversaryBehavior::kLabelFlip,
+                                        fraction));
       }
-      for (AdversaryBehavior behavior : options.other_behaviors) {
-        RunPoint(corpus, options, algo, behavior, options.other_fraction,
-                 defended, rows);
+      for (AdversaryBehavior behavior : other_behaviors) {
+        points.push_back(
+            AdversaryPoint(base, algo, defended, behavior, kOtherFraction));
       }
     }
   }
-  return rows;
+  return points;
 }
 
-CsvWriter ByzantineCsv(const std::vector<ByzantineRow>& rows) {
+CsvWriter ByzantineCsv(const std::vector<SweepRow>& rows) {
   CsvWriter csv({"algorithm", "adversary", "malicious_fraction",
                  "malicious_peers", "defended", "micro_f1", "macro_f1",
                  "prediction_success_rate", "attempted", "models_rejected",
                  "votes_discarded", "quarantined_pairs", "trust_observations",
                  "train_bytes", "train_sim_seconds"});
-  char buf[32];
-  auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return std::string(buf);
-  };
-  for (const ByzantineRow& row : rows) {
-    csv.AddRow({row.algorithm, row.adversary, fmt(row.malicious_fraction),
-                std::to_string(row.malicious_peers), row.defended ? "1" : "0",
-                fmt(row.micro_f1), fmt(row.macro_f1),
-                fmt(row.prediction_success_rate),
-                std::to_string(row.test_documents),
-                std::to_string(row.models_rejected),
-                std::to_string(row.votes_discarded),
-                std::to_string(row.quarantined_pairs),
-                std::to_string(row.trust_observations),
-                std::to_string(row.train_bytes), fmt(row.train_sim_seconds)});
+  for (const auto& [point, r] : rows) {
+    csv.AddRow({r.algorithm, point.adversary,
+                CsvNumber(point.malicious_fraction),
+                std::to_string(point.options.env.fault.adversaries.size()),
+                point.options.cempar.sanitize.enabled ? "1" : "0",
+                CsvNumber(r.metrics.micro_f1), CsvNumber(r.metrics.macro_f1),
+                CsvNumber(r.prediction_success_rate()),
+                std::to_string(r.test_documents),
+                std::to_string(r.models_rejected),
+                std::to_string(r.votes_discarded),
+                std::to_string(r.quarantined_pairs),
+                std::to_string(r.trust_observations),
+                std::to_string(r.train_bytes),
+                CsvNumber(r.train_sim_seconds)});
   }
   return csv;
 }

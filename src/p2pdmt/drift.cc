@@ -533,21 +533,19 @@ CsvWriter DriftCsv(const std::vector<DriftRow>& rows) {
                  "suspected_peers", "total_messages", "total_bytes",
                  "fingerprint"});
   char buf[32];
-  auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return std::string(buf);
-  };
   auto hex = [&buf](uint64_t v) {
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(v));
     return std::string(buf);
   };
   for (const DriftRow& row : rows) {
-    csv.AddRow({row.algorithm, row.scenario, row.policy, fmt(row.loss_rate),
-                row.churn ? "1" : "0", std::to_string(row.num_epochs),
-                std::to_string(row.first_drift_epoch), fmt(row.pre_drift_f1),
-                fmt(row.min_post_drift_f1), fmt(row.final_f1),
-                fmt(row.max_dip), std::to_string(row.recovery_epochs),
+    csv.AddRow({row.algorithm, row.scenario, row.policy,
+                CsvNumber(row.loss_rate), row.churn ? "1" : "0",
+                std::to_string(row.num_epochs),
+                std::to_string(row.first_drift_epoch),
+                CsvNumber(row.pre_drift_f1),
+                CsvNumber(row.min_post_drift_f1), CsvNumber(row.final_f1),
+                CsvNumber(row.max_dip), std::to_string(row.recovery_epochs),
                 row.reconverged ? "1" : "0", std::to_string(row.retrains),
                 std::to_string(row.drift_detections),
                 std::to_string(row.give_ups),

@@ -5,6 +5,7 @@
 #include <cstdio>
 #include <filesystem>
 #include <numeric>
+#include <sstream>
 
 #include <memory>
 
@@ -491,6 +492,45 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
          {"report", options.report_path}});
   }
   return result;
+}
+
+namespace {
+
+std::string SweepPointName(const SweepPoint& point) {
+  const ExperimentOptions& o = point.options;
+  std::ostringstream name;
+  name << AlgorithmTypeToString(o.algorithm) << " plan=" << point.plan
+       << " loss=" << o.env.physical.loss_rate
+       << " reliable=" << o.cempar.reliable_transport
+       << " adversary=" << point.adversary
+       << " fraction=" << point.malicious_fraction
+       << " defended=" << o.cempar.sanitize.enabled
+       << " churn=" << ChurnTypeToString(o.env.churn) << " recovery="
+       << (!o.recovery.enabled ? "off"
+           : o.recovery.warm_rejoin ? "warm"
+                                    : "cold");
+  return name.str();
+}
+
+}  // namespace
+
+SweepResult RunSweep(const VectorizedCorpus& corpus,
+                     const std::vector<SweepPoint>& points,
+                     const std::function<void(const SweepRow&)>& on_point) {
+  SweepResult sweep;
+  for (const SweepPoint& point : points) {
+    Result<ExperimentResult> r = RunExperiment(corpus, point.options);
+    if (!r.ok()) {
+      std::string failure =
+          SweepPointName(point) + " failed: " + r.status().ToString();
+      P2PDT_LOG(Warning) << failure;
+      sweep.failed.push_back(std::move(failure));
+      continue;
+    }
+    sweep.rows.push_back({point, std::move(r).value()});
+    if (on_point) on_point(sweep.rows.back());
+  }
+  return sweep;
 }
 
 std::string ExperimentResult::ToString() const {

@@ -1,6 +1,7 @@
 #ifndef P2PDT_P2PDMT_EXPERIMENT_H_
 #define P2PDT_P2PDMT_EXPERIMENT_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -28,6 +29,10 @@ enum class AlgorithmType {
 };
 
 const char* AlgorithmTypeToString(AlgorithmType t);
+
+/// The two P2P protocols the paper compares; every sweep grid runs both.
+inline constexpr AlgorithmType kSweepAlgorithms[] = {AlgorithmType::kCempar,
+                                                     AlgorithmType::kPace};
 
 /// Full description of one experiment run — P2PDMT's "Set parameters"
 /// surface (Fig. 2): network, churn, overlay, data distribution, algorithm
@@ -167,6 +172,23 @@ struct ExperimentResult {
                                : static_cast<double>(predict_bytes) /
                                      static_cast<double>(test_documents);
   }
+  /// Fraction of prediction requests answered (the success flag), degraded
+  /// answers included; 1 when nothing was asked.
+  double prediction_success_rate() const {
+    return test_documents == 0
+               ? 1.0
+               : 1.0 - static_cast<double>(failed_predictions) /
+                           static_cast<double>(test_documents);
+  }
+  /// Retransmissions per non-maintenance protocol message — the price the
+  /// transport pays for its delivery guarantee.
+  double retry_overhead() const {
+    uint64_t protocol_messages = train_messages + predict_messages;
+    return protocol_messages == 0
+               ? 0.0
+               : static_cast<double>(retransmits) /
+                     static_cast<double>(protocol_messages);
+  }
 
   std::string ToString() const;
 };
@@ -177,6 +199,40 @@ struct ExperimentResult {
 /// sweeps re-use one expensive preprocessing pass.
 Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
                                        const ExperimentOptions& options);
+
+/// One point of a parameter sweep: the options to run plus the labels the
+/// options cannot reproduce (a fault plan or adversary set is data, not a
+/// name).
+struct SweepPoint {
+  ExperimentOptions options;
+  /// Fault-plan name ("none" when no plan is injected).
+  std::string plan = "none";
+  /// Adversary behavior name ("none" for the clean arm).
+  std::string adversary = "none";
+  /// Requested malicious fraction; the plan rounds it to whole peers.
+  double malicious_fraction = 0.0;
+};
+
+/// A completed sweep point: what ran and what it produced.
+struct SweepRow {
+  SweepPoint point;
+  ExperimentResult result;
+};
+
+/// What a sweep produced: one row per completed point, in grid order, and
+/// the name (with its error) of every point that failed.
+struct SweepResult {
+  std::vector<SweepRow> rows;
+  std::vector<std::string> failed;
+};
+
+/// P2PDMT's "set parameters → run → collect statistics" loop: runs every
+/// point in order through RunExperiment. A failed point is skipped with a
+/// warning and named in `failed` rather than aborting the sweep. `on_point`
+/// (may be null) is invoked after every completed point, for progress.
+SweepResult RunSweep(const VectorizedCorpus& corpus,
+                     const std::vector<SweepPoint>& points,
+                     const std::function<void(const SweepRow&)>& on_point);
 
 /// Builds the classifier for `options` against an environment (exposed for
 /// benches that need direct protocol access, e.g. fault injection).

@@ -322,25 +322,22 @@ CsvWriter OverloadCsv(const std::vector<OverloadRow>& rows) {
                  "goodput_within_slo", "shed_rate", "cache_hit_rate", "p50_s",
                  "p95_s", "p99_s", "slo_s", "give_ups", "fingerprint"});
   char buf[32];
-  auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return std::string(buf);
-  };
   auto hex = [&buf](uint64_t v) {
     std::snprintf(buf, sizeof(buf), "%016llx",
                   static_cast<unsigned long long>(v));
     return std::string(buf);
   };
   for (const OverloadRow& row : rows) {
-    csv.AddRow({row.algorithm, row.arm, row.burst, fmt(row.arrival_rate),
-                fmt(row.burst_multiplier), std::to_string(row.offered),
+    csv.AddRow({row.algorithm, row.arm, row.burst, CsvNumber(row.arrival_rate),
+                CsvNumber(row.burst_multiplier), std::to_string(row.offered),
                 std::to_string(row.completed), std::to_string(row.ok),
                 std::to_string(row.degraded), std::to_string(row.cached),
                 std::to_string(row.failed), std::to_string(row.shed),
                 std::to_string(row.retries), std::to_string(row.within_slo),
-                fmt(row.goodput_within_slo), fmt(row.shed_rate),
-                fmt(row.cache_hit_rate), fmt(row.p50_s), fmt(row.p95_s),
-                fmt(row.p99_s), fmt(row.slo_s), std::to_string(row.give_ups),
+                CsvNumber(row.goodput_within_slo), CsvNumber(row.shed_rate),
+                CsvNumber(row.cache_hit_rate), CsvNumber(row.p50_s),
+                CsvNumber(row.p95_s), CsvNumber(row.p99_s),
+                CsvNumber(row.slo_s), std::to_string(row.give_ups),
                 hex(row.fingerprint)});
   }
   return csv;

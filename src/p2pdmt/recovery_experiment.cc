@@ -1,11 +1,9 @@
 #include "p2pdmt/recovery_experiment.h"
 
-#include <cstdio>
 #include <cstring>
 #include <numeric>
 #include <utility>
 
-#include "common/logging.h"
 #include "p2pdmt/recovery.h"
 
 namespace p2pdt {
@@ -152,83 +150,49 @@ Result<CrashRestoreReport> RunCrashRestoreExperiment(
   return report;
 }
 
-namespace {
-
-ChurnRow MakeChurnRow(const ExperimentResult& r, bool warm) {
-  ChurnRow row;
-  row.algorithm = r.algorithm;
-  row.churn = r.churn;
-  row.rejoin_mode = warm ? "warm" : "cold";
-  row.micro_f1 = r.metrics.micro_f1;
-  row.macro_f1 = r.metrics.macro_f1;
-  row.failed_predictions = r.failed_predictions;
-  row.test_documents = r.test_documents;
-  row.failures = r.churn_failures;
-  row.rejoins = r.churn_rejoins;
-  row.warm_rejoins = r.warm_rejoins;
-  row.cold_rejoins = r.cold_rejoins;
-  row.corrupt_checkpoints = r.corrupt_checkpoints;
-  row.retrain_examples = r.retrain_examples;
-  row.checkpoint_bytes = r.checkpoint_bytes;
-  row.mean_rejoin_latency_sec = r.mean_rejoin_latency_sec;
-  row.max_rejoin_latency_sec = r.max_rejoin_latency_sec;
-  return row;
-}
-
-}  // namespace
-
-std::vector<ChurnRow> RunWarmColdSweep(const VectorizedCorpus& corpus,
-                                       const ChurnSweepOptions& options) {
-  std::vector<ChurnRow> rows;
-  for (AlgorithmType algo : options.algorithms) {
-    for (ChurnType churn : options.churn_models) {
+std::vector<SweepPoint> WarmColdGrid(const ExperimentOptions& base) {
+  // Post-training churn exposure before evaluation (simulated seconds).
+  constexpr double kExposureSimSeconds = 600.0;
+  std::vector<SweepPoint> points;
+  for (AlgorithmType algo : kSweepAlgorithms) {
+    for (ChurnType churn :
+         {ChurnType::kNone, ChurnType::kExponential, ChurnType::kPareto}) {
       for (bool warm : {true, false}) {
-        ExperimentOptions opt = options.base;
+        SweepPoint point{base};
+        ExperimentOptions& opt = point.options;
         opt.algorithm = algo;
         opt.env.churn = churn;
         opt.recovery.enabled = true;
         opt.recovery.warm_rejoin = warm;
-        opt.post_train_sim_seconds = options.exposure_sim_seconds;
-        Result<ExperimentResult> r = RunExperiment(corpus, opt);
-        if (!r.ok()) {
-          P2PDT_LOG(Warning)
-              << AlgorithmTypeToString(algo) << " churn="
-              << ChurnTypeToString(churn) << " mode="
-              << (warm ? "warm" : "cold")
-              << " failed: " << r.status().ToString();
-          continue;
-        }
-        rows.push_back(MakeChurnRow(*r, warm));
-        if (options.on_point) options.on_point(rows.back());
+        opt.post_train_sim_seconds = kExposureSimSeconds;
+        points.push_back(std::move(point));
       }
     }
   }
-  return rows;
+  return points;
 }
 
-CsvWriter ChurnCsv(const std::vector<ChurnRow>& rows) {
+CsvWriter ChurnCsv(const std::vector<SweepRow>& rows) {
   CsvWriter csv({"algorithm", "churn", "rejoin_mode", "micro_f1", "macro_f1",
                  "failed", "attempted", "failures", "rejoins", "warm_rejoins",
                  "cold_rejoins", "corrupt_checkpoints", "retrain_examples",
                  "checkpoint_bytes", "mean_rejoin_latency_sec",
                  "max_rejoin_latency_sec"});
-  char buf[32];
-  auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return std::string(buf);
-  };
-  for (const ChurnRow& row : rows) {
-    csv.AddRow({row.algorithm, row.churn, row.rejoin_mode, fmt(row.micro_f1),
-                fmt(row.macro_f1), std::to_string(row.failed_predictions),
-                std::to_string(row.test_documents),
-                std::to_string(row.failures), std::to_string(row.rejoins),
-                std::to_string(row.warm_rejoins),
-                std::to_string(row.cold_rejoins),
-                std::to_string(row.corrupt_checkpoints),
-                std::to_string(row.retrain_examples),
-                std::to_string(row.checkpoint_bytes),
-                fmt(row.mean_rejoin_latency_sec),
-                fmt(row.max_rejoin_latency_sec)});
+  for (const auto& [point, r] : rows) {
+    csv.AddRow({r.algorithm, r.churn,
+                point.options.recovery.warm_rejoin ? "warm" : "cold",
+                CsvNumber(r.metrics.micro_f1), CsvNumber(r.metrics.macro_f1),
+                std::to_string(r.failed_predictions),
+                std::to_string(r.test_documents),
+                std::to_string(r.churn_failures),
+                std::to_string(r.churn_rejoins),
+                std::to_string(r.warm_rejoins),
+                std::to_string(r.cold_rejoins),
+                std::to_string(r.corrupt_checkpoints),
+                std::to_string(r.retrain_examples),
+                std::to_string(r.checkpoint_bytes),
+                CsvNumber(r.mean_rejoin_latency_sec),
+                CsvNumber(r.max_rejoin_latency_sec)});
   }
   return csv;
 }

@@ -1,9 +1,5 @@
 #include "p2pdmt/robustness.h"
 
-#include <cstdio>
-
-#include "common/logging.h"
-
 namespace p2pdt {
 
 std::vector<NamedFaultPlan> CanonicalFaultPlans(std::size_t num_peers,
@@ -45,100 +41,47 @@ std::vector<NamedFaultPlan> CanonicalFaultPlans(std::size_t num_peers,
   return plans;
 }
 
-namespace {
-
-RobustnessRow MakeRow(const ExperimentResult& r, const std::string& plan,
-                      double loss_rate, bool reliable) {
-  RobustnessRow row;
-  row.algorithm = r.algorithm;
-  row.plan = plan;
-  row.loss_rate = loss_rate;
-  row.reliable = reliable;
-  row.micro_f1 = r.metrics.micro_f1;
-  row.macro_f1 = r.metrics.macro_f1;
-  row.failed_predictions = r.failed_predictions;
-  row.degraded_predictions = r.degraded_predictions;
-  row.test_documents = r.test_documents;
-  row.prediction_success_rate =
-      r.test_documents == 0
-          ? 1.0
-          : 1.0 - static_cast<double>(r.failed_predictions) /
-                      static_cast<double>(r.test_documents);
-  row.delivery_rate = r.delivery_rate;
-  uint64_t protocol_messages = r.train_messages + r.predict_messages;
-  row.retry_overhead =
-      protocol_messages == 0
-          ? 0.0
-          : static_cast<double>(r.retransmits) /
-                static_cast<double>(protocol_messages);
-  row.retransmits = r.retransmits;
-  row.give_ups = r.give_ups;
-  row.injected_drops = r.injected_drops;
-  row.model_coverage = r.model_coverage;
-  return row;
-}
-
-}  // namespace
-
-std::vector<RobustnessRow> RunRobustnessSweep(
-    const VectorizedCorpus& corpus, const RobustnessSweepOptions& options) {
-  std::vector<RobustnessRow> rows;
-  std::vector<bool> modes;
-  if (options.compare_reliability) {
-    modes = {false, true};
-  } else {
-    modes = {options.base.cempar.reliable_transport ||
-             options.base.pace.reliable_dissemination};
-  }
-
-  for (AlgorithmType algo : options.algorithms) {
-    for (double loss : options.loss_rates) {
-      for (const NamedFaultPlan& plan : options.plans) {
-        for (bool reliable : modes) {
-          ExperimentOptions opt = options.base;
+std::vector<SweepPoint> RobustnessGrid(
+    const ExperimentOptions& base, const std::vector<double>& loss_rates,
+    const std::vector<NamedFaultPlan>& plans) {
+  std::vector<SweepPoint> points;
+  for (AlgorithmType algo : kSweepAlgorithms) {
+    for (double loss : loss_rates) {
+      for (const NamedFaultPlan& plan : plans) {
+        for (bool reliable : {false, true}) {
+          SweepPoint point{base};
+          point.plan = plan.label;
+          ExperimentOptions& opt = point.options;
           opt.algorithm = algo;
           opt.env.physical.loss_rate = loss;
           opt.env.fault = plan.plan;
           opt.cempar.reliable_transport = reliable;
           opt.pace.reliable_dissemination = reliable;
-          Result<ExperimentResult> r = RunExperiment(corpus, opt);
-          if (!r.ok()) {
-            P2PDT_LOG(Warning)
-                << AlgorithmTypeToString(algo) << " loss=" << loss
-                << " plan=" << plan.label << " reliable=" << reliable
-                << " failed: " << r.status().ToString();
-            continue;
-          }
-          rows.push_back(MakeRow(*r, plan.label, loss, reliable));
-          if (options.on_point) options.on_point(rows.back());
+          points.push_back(std::move(point));
         }
       }
     }
   }
-  return rows;
+  return points;
 }
 
-CsvWriter RobustnessCsv(const std::vector<RobustnessRow>& rows) {
+CsvWriter RobustnessCsv(const std::vector<SweepRow>& rows) {
   CsvWriter csv({"algorithm", "plan", "loss_rate", "reliable", "micro_f1",
                  "macro_f1", "prediction_success_rate", "failed", "degraded",
                  "attempted", "delivery_rate", "retry_overhead", "retransmits",
                  "give_ups", "injected_drops", "model_coverage"});
-  char buf[32];
-  auto fmt = [&buf](double v) {
-    std::snprintf(buf, sizeof(buf), "%.6g", v);
-    return std::string(buf);
-  };
-  for (const RobustnessRow& row : rows) {
-    csv.AddRow({row.algorithm, row.plan, fmt(row.loss_rate),
-                row.reliable ? "1" : "0", fmt(row.micro_f1), fmt(row.macro_f1),
-                fmt(row.prediction_success_rate),
-                std::to_string(row.failed_predictions),
-                std::to_string(row.degraded_predictions),
-                std::to_string(row.test_documents), fmt(row.delivery_rate),
-                fmt(row.retry_overhead), std::to_string(row.retransmits),
-                std::to_string(row.give_ups),
-                std::to_string(row.injected_drops),
-                fmt(row.model_coverage)});
+  for (const auto& [point, r] : rows) {
+    csv.AddRow({r.algorithm, point.plan,
+                CsvNumber(point.options.env.physical.loss_rate),
+                point.options.cempar.reliable_transport ? "1" : "0",
+                CsvNumber(r.metrics.micro_f1), CsvNumber(r.metrics.macro_f1),
+                CsvNumber(r.prediction_success_rate()),
+                std::to_string(r.failed_predictions),
+                std::to_string(r.degraded_predictions),
+                std::to_string(r.test_documents), CsvNumber(r.delivery_rate),
+                CsvNumber(r.retry_overhead()), std::to_string(r.retransmits),
+                std::to_string(r.give_ups), std::to_string(r.injected_drops),
+                CsvNumber(r.model_coverage)});
   }
   return csv;
 }

@@ -1,7 +1,6 @@
 #ifndef P2PDT_P2PDMT_ROBUSTNESS_H_
 #define P2PDT_P2PDMT_ROBUSTNESS_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -31,57 +30,16 @@ struct NamedFaultPlan {
 std::vector<NamedFaultPlan> CanonicalFaultPlans(std::size_t num_peers,
                                                 double horizon);
 
-/// One grid point of the robustness sweep, flattened for reporting.
-struct RobustnessRow {
-  std::string algorithm;
-  std::string plan = "none";
-  double loss_rate = 0.0;
-  bool reliable = false;
+/// The fault sweep's grid: {CEMPaR, PACE} × `loss_rates` × `plans` ×
+/// {fire-and-forget, reliable transport}, each point a copy of `base`. Both
+/// transport arms run so the delta the retries buy is in the same table.
+std::vector<SweepPoint> RobustnessGrid(
+    const ExperimentOptions& base, const std::vector<double>& loss_rates,
+    const std::vector<NamedFaultPlan>& plans);
 
-  double micro_f1 = 0.0;
-  double macro_f1 = 0.0;
-  /// Fraction of prediction requests answered (success flag), including
-  /// degraded answers.
-  double prediction_success_rate = 0.0;
-  std::size_t failed_predictions = 0;
-  std::size_t degraded_predictions = 0;
-  std::size_t test_documents = 0;
-
-  double delivery_rate = 0.0;
-  /// Retransmissions per non-maintenance protocol message — the price the
-  /// transport pays for its delivery guarantee.
-  double retry_overhead = 0.0;
-  uint64_t retransmits = 0;
-  uint64_t give_ups = 0;
-  uint64_t injected_drops = 0;
-  /// PACE dissemination convergence (-1 for other algorithms).
-  double model_coverage = -1.0;
-};
-
-struct RobustnessSweepOptions {
-  /// Template for every run; algorithm / loss rate / fault plan / transport
-  /// settings are overridden per grid point.
-  ExperimentOptions base;
-  std::vector<AlgorithmType> algorithms = {AlgorithmType::kCempar,
-                                           AlgorithmType::kPace};
-  std::vector<double> loss_rates = {0.0, 0.1, 0.2};
-  std::vector<NamedFaultPlan> plans = {{}};
-  /// Run each point both fire-and-forget and with the reliable transport,
-  /// so the delta the retries buy is in the same table.
-  bool compare_reliability = true;
-  /// Invoked after every completed point (progress reporting); may be null.
-  std::function<void(const RobustnessRow&)> on_point;
-};
-
-/// Runs the full grid: algorithms × loss rates × fault plans ×
-/// {unreliable, reliable}. Failed runs are skipped with a warning rather
-/// than aborting the sweep.
-std::vector<RobustnessRow> RunRobustnessSweep(
-    const VectorizedCorpus& corpus, const RobustnessSweepOptions& options);
-
-/// Flattens sweep rows into the CSV schema bench_fault writes
-/// (bench_results/fault.csv).
-CsvWriter RobustnessCsv(const std::vector<RobustnessRow>& rows);
+/// Flattens completed RobustnessGrid points into the CSV schema bench_fault
+/// writes (bench_results/fault.csv).
+CsvWriter RobustnessCsv(const std::vector<SweepRow>& rows);
 
 }  // namespace p2pdt
 

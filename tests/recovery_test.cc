@@ -379,12 +379,12 @@ TEST(RecoveryExperimentTest, ChurnCountersSurfacedWithoutRecovery) {
 }
 
 TEST(ChurnCsvTest, SchemaAndRows) {
-  ChurnRow row;
-  row.algorithm = "pace";
-  row.churn = "exponential";
-  row.rejoin_mode = "warm";
-  row.macro_f1 = 0.5;
-  row.rejoins = 3;
+  SweepRow row;
+  row.result.algorithm = "pace";
+  row.result.churn = "exponential";
+  row.point.options.recovery.warm_rejoin = true;
+  row.result.metrics.macro_f1 = 0.5;
+  row.result.churn_rejoins = 3;
   CsvWriter csv = ChurnCsv({row});
   std::string out = csv.ToString();
   EXPECT_NE(out.find("rejoin_mode"), std::string::npos);
