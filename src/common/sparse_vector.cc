@@ -1,6 +1,7 @@
 #include "common/sparse_vector.h"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 #include <cstdio>
@@ -145,31 +146,35 @@ void SparseVector::Add(const SparseVector& other, double alpha) {
 }
 
 double SparseVector::SquaredDistance(const SparseVector& other) const {
-  // ||a - b||² = ||a||² + ||b||² - 2 a·b, computed with one merge pass for
-  // numerical symmetry.
+  // One merge pass over the union of ids, summed in id order. The merge is
+  // branchless: each step takes the lower id from either side (both on a
+  // tie) and selects each side's weight with an all-ones/all-zeros bit
+  // mask. A one-sided id then adds (v - 0)² or (0 - v)², both bitwise v·v,
+  // so the sum matches a three-way merge bit for bit. A ternary would let
+  // the compiler turn the selection back into branches.
+  const Entry* a = entries_.data();
+  const Entry* b = other.entries_.data();
+  const std::size_t na = entries_.size(), nb = other.entries_.size();
   double sum = 0.0;
   std::size_t i = 0, j = 0;
-  while (i < entries_.size() || j < other.entries_.size()) {
-    if (j >= other.entries_.size() ||
-        (i < entries_.size() &&
-         entries_[i].first < other.entries_[j].first)) {
-      sum += entries_[i].second * entries_[i].second;
-      ++i;
-    } else if (i >= entries_.size() ||
-               other.entries_[j].first < entries_[i].first) {
-      sum += other.entries_[j].second * other.entries_[j].second;
-      ++j;
-    } else {
-      double d = entries_[i].second - other.entries_[j].second;
-      sum += d * d;
-      ++i;
-      ++j;
-    }
+  while (i < na && j < nb) {
+    const Index ia = a[i].first, ib = b[j].first;
+    const uint64_t take_a = ia <= ib, take_b = ib <= ia;
+    const double wa = std::bit_cast<double>(
+        std::bit_cast<uint64_t>(a[i].second) & (0 - take_a));
+    const double wb = std::bit_cast<double>(
+        std::bit_cast<uint64_t>(b[j].second) & (0 - take_b));
+    const double d = wa - wb;
+    sum += d * d;
+    i += take_a;
+    j += take_b;
   }
+  for (; i < na; ++i) sum += a[i].second * a[i].second;
+  for (; j < nb; ++j) sum += b[j].second * b[j].second;
   if (CostLedger::enabled()) {
     CostCounts& c = CostLedger::Tls();
     ++c.sparse_dist_calls;
-    c.sparse_dist_ops += i + j;
+    c.sparse_dist_ops += na + nb;
   }
   return sum;
 }

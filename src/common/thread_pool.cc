@@ -13,6 +13,9 @@ namespace p2pdt {
 namespace {
 
 thread_local bool t_in_pool_worker = false;
+// Fanned-out ParallelFor bodies this thread is running as their caller;
+// pool workers hold 1 for their lifetime. Non-zero makes ParallelFor inline.
+thread_local std::size_t t_parallel_depth = 0;
 
 std::size_t ResolveConcurrencyFromEnvironment() {
   if (const char* env = std::getenv("P2PDT_THREADS")) {
@@ -52,6 +55,7 @@ ThreadPool::~ThreadPool() {
 
 void ThreadPool::WorkerLoop() {
   t_in_pool_worker = true;
+  t_parallel_depth = 1;
   for (;;) {
     std::function<void()> task;
     {
@@ -104,12 +108,14 @@ void ThreadPool::ParallelFor(
   const std::size_t total = end - begin;
   const std::size_t num_chunks = (total + chunk - 1) / chunk;
 
-  // Serial path: no workers, a single chunk, or a nested call from inside a
-  // worker (inline to avoid queue deadlock and oversubscription).
+  // Serial path: no workers, a single chunk, or a call nested inside a
+  // fanned-out body on any thread. Nesting runs inline: on a worker to
+  // avoid queue deadlock and oversubscription, on the caller because its
+  // helpers would queue behind the outer loop's and block until it drains.
   std::size_t helpers = workers_.size();
   if (max_threads > 0) helpers = std::min(helpers, max_threads - 1);
   helpers = std::min(helpers, num_chunks - 1);
-  if (helpers == 0 || InWorker()) {
+  if (helpers == 0 || t_parallel_depth > 0) {
     body(begin, end);
     return;
   }
@@ -161,7 +167,9 @@ void ThreadPool::ParallelFor(
       if (--shared->active == 0) shared->done_cv.notify_all();
     });
   }
+  ++t_parallel_depth;
   drain(state);  // the caller is a full participant
+  --t_parallel_depth;
   {
     std::unique_lock<std::mutex> lock(state.done_mu);
     state.done_cv.wait(lock, [&] { return state.active == 0; });

@@ -14,11 +14,12 @@ namespace p2pdt {
 /// Fixed-size worker pool with a bounded task queue and a dynamically
 /// scheduled ParallelFor.
 ///
-/// The pool exists for the one embarrassingly-parallel hot loop in this
-/// codebase: the (peer × tag) local-training grid. Per-tag work is heavily
-/// skewed (tag popularity is Zipf-like), so ParallelFor hands out small
-/// chunks from a shared counter — a work-queue form of work stealing —
-/// instead of static range splits.
+/// The pool runs the ML layer's data-parallel loops: the (peer × tag)
+/// local-training grid, sharded simulator phases, k-means assignment, and
+/// the kernel SVM's Gram-matrix rows and decision kernel values. Per-item
+/// work is skewed (tag popularity is Zipf-like, Gram rows are triangular),
+/// so ParallelFor hands out small chunks from a shared counter — a
+/// work-queue form of work stealing — instead of static range splits.
 ///
 /// Determinism contract: the pool never introduces randomness of its own.
 /// Callers must make every iteration of a ParallelFor body a pure function
@@ -54,9 +55,11 @@ class ThreadPool {
   /// lowest-indexed throwing chunk is rethrown here (deterministic
   /// regardless of scheduling).
   ///
-  /// Nested calls from inside a pool worker run inline (serial) — this
-  /// keeps per-peer tasks free to call parallel trainers without deadlock
-  /// or oversubscription.
+  /// A call nested inside the body of a ParallelFor that fanned out runs
+  /// inline (serial) on whichever thread runs that body, worker or caller
+  /// — this keeps per-peer tasks free to call parallel kernels without
+  /// deadlock, oversubscription, or queueing behind the outer loop's
+  /// helpers. Any call from a pool worker runs inline.
   void ParallelFor(std::size_t begin, std::size_t end, std::size_t chunk,
                    const std::function<void(std::size_t, std::size_t)>& body,
                    std::size_t max_threads = 0);

@@ -6,14 +6,34 @@
 
 #include "common/cost_ledger.h"
 #include "common/profile.h"
+#include "common/thread_pool.h"
 
 namespace p2pdt {
 
+namespace {
+
+// Fixed fan-out granularity of the kernel loops. Chunk boundaries never
+// change what is computed or the order it is summed in, only which thread
+// evaluates a kernel value, so results do not depend on these.
+constexpr std::size_t kGramRowChunk = 8;
+constexpr std::size_t kDecisionSvChunk = 64;
+
+}  // namespace
+
 double KernelSvmModel::Decision(const SparseVector& x) const {
   PhaseScope profile("kernel_decision");
+  // Kernel values fan out per SV chunk; the weighted sum stays serial in SV
+  // order, so the result is bit-identical to a single-threaded loop.
+  std::vector<double> k(svs_.size());
+  ParallelFor(0, svs_.size(), kDecisionSvChunk, 0,
+              [&](std::size_t lo, std::size_t hi) {
+                for (std::size_t i = lo; i < hi; ++i) {
+                  k[i] = kernel_(svs_[i].x, x);
+                }
+              });
   double sum = bias_;
-  for (const auto& sv : svs_) {
-    sum += sv.alpha * sv.y * kernel_(sv.x, x);
+  for (std::size_t i = 0; i < svs_.size(); ++i) {
+    sum += svs_[i].alpha * svs_[i].y * k[i];
   }
   return sum;
 }
@@ -47,17 +67,21 @@ Result<KernelSvmModel> TrainKernelSvm(const std::vector<Example>& data,
     return KernelSvmModel(options.kernel, {}, has_pos ? 1.0 : -1.0);
   }
 
-  // Materialized kernel matrix Q_ij = y_i y_j K(x_i, x_j).
+  // Materialized kernel matrix Q_ij = y_i y_j K(x_i, x_j). Rows fan out
+  // in fixed chunks; row i's task alone writes the pairs (i, j >= i) and
+  // their mirrors, so every entry has exactly one writer.
   std::vector<double> q(n * n);
   {
     PhaseScope profile("kernel_matrix");
-    for (std::size_t i = 0; i < n; ++i) {
-      for (std::size_t j = i; j < n; ++j) {
-        double k = options.kernel(data[i].x, data[j].x);
-        q[i * n + j] = y[i] * y[j] * k;
-        q[j * n + i] = q[i * n + j];
+    ParallelFor(0, n, kGramRowChunk, 0, [&](std::size_t lo, std::size_t hi) {
+      for (std::size_t i = lo; i < hi; ++i) {
+        for (std::size_t j = i; j < n; ++j) {
+          double k = options.kernel(data[i].x, data[j].x);
+          q[i * n + j] = y[i] * y[j] * k;
+          q[j * n + i] = q[i * n + j];
+        }
       }
-    }
+    });
   }
 
   // SMO solving min ½αᵀQα − eᵀα, 0 ≤ α ≤ C, yᵀα = 0, with
@@ -128,7 +152,6 @@ Result<KernelSvmModel> TrainKernelSvm(const std::vector<Example>& data,
   double ub = std::numeric_limits<double>::infinity();
   double lb = -std::numeric_limits<double>::infinity();
   for (std::size_t i = 0; i < n; ++i) {
-    double yg = y[i] * grad[i];  // y_i (Qα)_i − y_i = y_i f(x_i) − y_i − b...
     // grad_i = Σ_j Q_ij α_j − 1 = y_i (Σ_j α_j y_j K_ij) − 1
     // ⇒ Σ_j α_j y_j K_ij = y_i (grad_i + 1); b = y_i − that value.
     double decision_no_bias = y[i] * (grad[i] + 1.0);
@@ -142,7 +165,6 @@ Result<KernelSvmModel> TrainKernelSvm(const std::vector<Example>& data,
     } else {
       lb = std::max(lb, bi);
     }
-    (void)yg;
   }
   double bias;
   if (b_count > 0) {

@@ -37,6 +37,11 @@ struct SupportVector {
 /// (paper Sec. 2). WireSize() therefore charges the support vectors
 /// themselves — which is also why CEMPaR's privacy argument is only about
 /// word-id obfuscation: actual document vectors travel.
+///
+/// Decision() evaluates the kernel values of a model larger than one SV
+/// chunk on the global thread pool, then sums α·y·K serially in SV order,
+/// so its result is bit-identical at every pool size. Called inside a
+/// ParallelFor body it runs inline on the calling thread.
 class KernelSvmModel final : public BinaryClassifier {
  public:
   KernelSvmModel() = default;
@@ -67,6 +72,11 @@ class KernelSvmModel final : public BinaryClassifier {
 /// WSS1). The full kernel matrix is materialized, which is appropriate for
 /// the per-peer training-set sizes in P2PDocTagger (tens to a few hundred
 /// examples); the cascade keeps merged sets small by construction.
+///
+/// The kernel-matrix build fans its rows out in fixed chunks on the global
+/// thread pool; each entry has one writer and SMO runs serially, so the
+/// model is bit-identical at every pool size. Called inside a ParallelFor
+/// body (CEMPaR's per-peer training grid) it runs inline.
 Result<KernelSvmModel> TrainKernelSvm(const std::vector<Example>& data,
                                       const KernelSvmOptions& options = {});
 

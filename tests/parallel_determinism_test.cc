@@ -8,8 +8,10 @@
 
 #include <gtest/gtest.h>
 
+#include "common/cost_ledger.h"
 #include "common/thread_pool.h"
 #include "corpus/vectorize.h"
+#include "ml/kernel_svm.h"
 #include "ml/kmeans.h"
 #include "ml/linear_svm.h"
 #include "ml/multilabel.h"
@@ -154,6 +156,140 @@ TEST_F(ParallelDeterminismTest, CemparTrainIdentical1VsNThreads) {
   EXPECT_EQ(svs1, svs4);
   EXPECT_EQ(owners1, owners4);
   EXPECT_EQ(scores1, scores4);  // exact double equality
+}
+
+// Runs `fn` at global concurrency `threads` with the cost ledger on and
+// returns its result plus the kernel evaluations it charged.
+template <typename Fn>
+auto AtConcurrency(std::size_t threads, Fn fn) {
+  ThreadPool::SetGlobalConcurrency(threads);
+  ScopedCostLedger ledger(true);
+  const uint64_t before = CostLedger::Collect().kernel_evals;
+  auto result = fn();
+  return std::make_pair(std::move(result),
+                        CostLedger::Collect().kernel_evals - before);
+}
+
+void ExpectSameModel(const KernelSvmModel& a, const KernelSvmModel& b) {
+  EXPECT_EQ(a.bias(), b.bias());  // exact double equality throughout
+  ASSERT_EQ(a.num_support_vectors(), b.num_support_vectors());
+  for (std::size_t i = 0; i < a.num_support_vectors(); ++i) {
+    EXPECT_EQ(a.support_vectors()[i].x, b.support_vectors()[i].x);
+    EXPECT_EQ(a.support_vectors()[i].y, b.support_vectors()[i].y);
+    EXPECT_EQ(a.support_vectors()[i].alpha, b.support_vectors()[i].alpha);
+  }
+}
+
+KernelSvmOptions RbfOptions() {
+  KernelSvmOptions opt;
+  opt.kernel = Kernel::Rbf(1.0);
+  opt.c = 10.0;
+  return opt;
+}
+
+TEST_F(ParallelDeterminismTest, RbfKernelSvmIdentical1VsNThreads) {
+  const std::vector<Example> data = Corpus().dataset.OneAgainstAll(0);
+  auto train = [&] {
+    Result<KernelSvmModel> m = TrainKernelSvm(data, RbfOptions());
+    EXPECT_TRUE(m.ok()) << m.status().ToString();
+    return std::move(m).value();
+  };
+  auto [serial, serial_evals] = AtConcurrency(1, train);
+  auto [parallel, parallel_evals] = AtConcurrency(4, train);
+  ASSERT_GT(serial.num_support_vectors(), 0u);
+  ExpectSameModel(serial, parallel);
+  EXPECT_EQ(serial_evals, parallel_evals);
+  EXPECT_EQ(serial_evals, data.size() * (data.size() + 1) / 2);
+}
+
+TEST_F(ParallelDeterminismTest, RbfCascadeTreeIdentical1VsNThreads) {
+  // One local model per user-partition peer, cascaded with a small fan-in
+  // so the tree has several levels.
+  ThreadPool::SetGlobalConcurrency(1);
+  std::vector<KernelSvmModel> locals;
+  for (const DatasetShard& shard : PeerPartition(8)) {
+    if (shard.empty()) continue;
+    Result<KernelSvmModel> m = TrainKernelSvm(shard.OneAgainstAll(1),
+                                              RbfOptions());
+    ASSERT_TRUE(m.ok()) << m.status().ToString();
+    locals.push_back(std::move(m).value());
+  }
+  std::vector<const KernelSvmModel*> inputs;
+  for (const KernelSvmModel& m : locals) inputs.push_back(&m);
+  auto cascade = [&] {
+    Result<KernelSvmModel> m = CascadeTree(inputs, RbfOptions(), 3);
+    EXPECT_TRUE(m.ok()) << m.status().ToString();
+    return std::move(m).value();
+  };
+  auto [serial, serial_evals] = AtConcurrency(1, cascade);
+  auto [parallel, parallel_evals] = AtConcurrency(4, cascade);
+  ASSERT_GT(serial.num_support_vectors(), 0u);
+  ExpectSameModel(serial, parallel);
+  EXPECT_EQ(serial_evals, parallel_evals);
+}
+
+TEST_F(ParallelDeterminismTest, RbfDecisionIdentical1VsNThreads) {
+  ThreadPool::SetGlobalConcurrency(1);
+  Result<KernelSvmModel> trained =
+      TrainKernelSvm(Corpus().dataset.OneAgainstAll(2), RbfOptions());
+  ASSERT_TRUE(trained.ok()) << trained.status().ToString();
+  const KernelSvmModel model = std::move(trained).value();
+  // More than one 64-SV chunk, so the parallel run really fans out.
+  ASSERT_GT(model.num_support_vectors(), 64u);
+  const std::vector<SparseVector> probes = ProbeVectors(20);
+  auto decide = [&] {
+    std::vector<double> out;
+    for (const SparseVector& x : probes) out.push_back(model.Decision(x));
+    return out;
+  };
+  auto [serial, serial_evals] = AtConcurrency(1, decide);
+  auto [parallel, parallel_evals] = AtConcurrency(4, decide);
+  EXPECT_EQ(serial, parallel);  // exact double equality
+  EXPECT_EQ(serial_evals, parallel_evals);
+  EXPECT_EQ(serial_evals, probes.size() * model.num_support_vectors());
+}
+
+TEST_F(ParallelDeterminismTest, RbfCemparIdentical1VsNThreads) {
+  // The same train+predict as CemparTrainIdentical1VsNThreads, on the RBF
+  // kernel so the cascade merges and routed predictions fan out on the pool.
+  auto run = [&] {
+    EnvironmentOptions eo;
+    eo.num_peers = 12;
+    auto env = std::move(Environment::Create(eo)).value();
+    CemparOptions opt;
+    opt.svm = RbfOptions();
+    opt.cascade_fan_in = 3;
+    Cempar cempar(env->sim(), env->net(), *env->chord(), opt);
+    EXPECT_TRUE(
+        cempar.SetupShards(PeerPartition(12), Corpus().dataset.num_tags())
+            .ok());
+    bool done = false;
+    cempar.Train([&](Status s) {
+      EXPECT_TRUE(s.ok());
+      done = true;
+    });
+    env->RunUntilFlag(done, 3600);
+    EXPECT_TRUE(done);
+
+    std::vector<std::vector<double>> scores;
+    for (const SparseVector& x : ProbeVectors(10)) {
+      bool pdone = false;
+      cempar.Predict(3, x, [&](P2PPrediction p) {
+        EXPECT_TRUE(p.success);
+        scores.push_back(std::move(p.scores));
+        pdone = true;
+      });
+      env->RunUntilFlag(pdone, 3600);
+      EXPECT_TRUE(pdone);
+    }
+    return std::make_pair(scores, cempar.TotalRegionalSupportVectors());
+  };
+  auto [serial, serial_evals] = AtConcurrency(1, run);
+  auto [parallel, parallel_evals] = AtConcurrency(4, run);
+  EXPECT_GT(serial.second, 0u);
+  EXPECT_EQ(serial.second, parallel.second);
+  EXPECT_EQ(serial.first, parallel.first);  // exact double equality
+  EXPECT_EQ(serial_evals, parallel_evals);
 }
 
 TEST_F(ParallelDeterminismTest, PaceTrainIdentical1VsNThreads) {

@@ -1,9 +1,12 @@
 #include "common/sparse_vector.h"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 
 #include <gtest/gtest.h>
 
+#include "common/cost_ledger.h"
 #include "common/rng.h"
 
 namespace p2pdt {
@@ -105,6 +108,94 @@ TEST(SparseVectorTest, SquaredDistanceMatchesIdentity) {
       a.SquaredNorm() + b.SquaredNorm() - 2.0 * a.Dot(b);
   EXPECT_NEAR(a.SquaredDistance(b), expected, 1e-12);
   EXPECT_NEAR(a.SquaredDistance(a), 0.0, 1e-12);
+}
+
+// Scalar three-way-merge reference for SquaredDistance: the shape of the
+// kernel before it went branchless. The fast path must match it bit for bit.
+double ReferenceSquaredDistance(const SparseVector& x, const SparseVector& y) {
+  const auto& a = x.entries();
+  const auto& b = y.entries();
+  double sum = 0.0;
+  std::size_t i = 0, j = 0;
+  while (i < a.size() || j < b.size()) {
+    if (j >= b.size() || (i < a.size() && a[i].first < b[j].first)) {
+      sum += a[i].second * a[i].second;
+      ++i;
+    } else if (i >= a.size() || b[j].first < a[i].first) {
+      sum += b[j].second * b[j].second;
+      ++j;
+    } else {
+      double d = a[i].second - b[j].second;
+      sum += d * d;
+      ++i;
+      ++j;
+    }
+  }
+  return sum;
+}
+
+// Random vector with ids drawn from [base, base + span) at density `p`,
+// weights in [lo, hi).
+SparseVector RandomVector(Rng& rng, uint32_t base, uint32_t span, double p,
+                          double lo, double hi) {
+  SparseVector v;
+  for (uint32_t id = 0; id < span; ++id) {
+    if (rng.Bernoulli(p)) v.PushBack(base + id, rng.Uniform(lo, hi));
+  }
+  return v;
+}
+
+void ExpectBitIdenticalDistance(const SparseVector& a, const SparseVector& b) {
+  ScopedCostLedger ledger(true);
+  const CostCounts before = CostLedger::Tls();
+  const double fast = a.SquaredDistance(b);
+  const CostCounts charged = CostLedger::Tls() - before;
+  EXPECT_EQ(std::bit_cast<uint64_t>(fast),
+            std::bit_cast<uint64_t>(ReferenceSquaredDistance(a, b)))
+      << a.ToString() << " vs " << b.ToString();
+  EXPECT_EQ(std::bit_cast<uint64_t>(b.SquaredDistance(a)),
+            std::bit_cast<uint64_t>(ReferenceSquaredDistance(b, a)));
+  EXPECT_EQ(charged.sparse_dist_calls, 1u);
+  EXPECT_EQ(charged.sparse_dist_ops, a.nnz() + b.nnz());
+}
+
+TEST(SparseVectorTest, SquaredDistanceMatchesReferenceOnEdgeCases) {
+  const SparseVector empty;
+  const SparseVector a = Make({{1, 0.5}, {4, -2.25}, {9, 3.0}});
+  const SparseVector low = Make({{0, 1.5}, {2, -0.75}});
+  const SparseVector high = Make({{100, 2.0}, {101, -1.0}});
+  const SparseVector interleaved = Make({{0, 1.0}, {2, 2.0}, {3, -4.0}});
+  const SparseVector far = Make({{1u << 30, 1.0}});
+  const SparseVector near_far = Make({{3, 0.25}, {(1u << 30) - 1, -7.5}});
+
+  ExpectBitIdenticalDistance(empty, empty);
+  ExpectBitIdenticalDistance(empty, a);
+  ExpectBitIdenticalDistance(a, a);               // identical
+  ExpectBitIdenticalDistance(a, interleaved);     // disjoint, interleaved
+  ExpectBitIdenticalDistance(low, high);          // one strictly first
+  ExpectBitIdenticalDistance(a, far);             // id 2^30 adversary
+  ExpectBitIdenticalDistance(near_far, far);
+  ExpectBitIdenticalDistance(near_far, a);
+  EXPECT_EQ(a.SquaredDistance(a), 0.0);
+  EXPECT_EQ(empty.SquaredDistance(empty), 0.0);
+}
+
+TEST(SparseVectorTest, SquaredDistanceMatchesReferenceFuzz) {
+  Rng rng(20100913);
+  for (int round = 0; round < 2000; ++round) {
+    // Vary overlap: shared or shifted id ranges, dense or sparse, near 0 or
+    // near 2^30, positive-only or signed weights.
+    const uint32_t base = rng.Bernoulli(0.2) ? (1u << 30) - 64 : 0;
+    const uint32_t span = static_cast<uint32_t>(rng.UniformInt(1, 120));
+    const uint32_t shift = static_cast<uint32_t>(rng.UniformInt(0, span));
+    const double lo = rng.Bernoulli(0.5) ? -3.0 : 0.0;
+    const SparseVector a =
+        RandomVector(rng, base, span, rng.Uniform(0.0, 1.0), lo, 3.0);
+    const SparseVector b =
+        RandomVector(rng, base + shift, span, rng.Uniform(0.0, 1.0), lo, 3.0);
+    ExpectBitIdenticalDistance(a, b);
+    ExpectBitIdenticalDistance(a, a);
+  }
 }
 
 TEST(SparseVectorTest, CosineBounds) {

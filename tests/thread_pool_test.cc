@@ -1,8 +1,10 @@
 #include "common/thread_pool.h"
 
 #include <atomic>
+#include <chrono>
 #include <numeric>
 #include <stdexcept>
+#include <thread>
 #include <vector>
 
 #include <gtest/gtest.h>
@@ -118,6 +120,35 @@ TEST(ThreadPoolTest, NestedParallelForRunsInlineWithoutDeadlock) {
     }
   });
   for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
+
+  // A call nested on the caller thread runs inline too: every inner chunk
+  // stays on the caller even while idle workers could take them. Fanning
+  // out there would queue its helpers behind the outer loop's.
+  ThreadPool wide(3);
+  const std::thread::id caller = std::this_thread::get_id();
+  std::atomic<bool> caller_nested{false};
+  std::atomic<int> inner_iterations{0};
+  std::atomic<int> off_caller{0};
+  wide.ParallelFor(
+      0, 4, 1,
+      [&](std::size_t, std::size_t) {
+        if (std::this_thread::get_id() != caller) {
+          // Hold the outer helper until the caller has run a chunk itself.
+          while (!caller_nested.load()) std::this_thread::yield();
+          return;
+        }
+        wide.ParallelFor(0, 8, 1, [&](std::size_t lo, std::size_t hi) {
+          inner_iterations.fetch_add(static_cast<int>(hi - lo));
+          if (std::this_thread::get_id() != caller) off_caller.fetch_add(1);
+          std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        });
+        caller_nested.store(true);
+      },
+      /*max_threads=*/2);
+  EXPECT_TRUE(caller_nested.load());
+  EXPECT_EQ(inner_iterations.load() % 8, 0);
+  EXPECT_GT(inner_iterations.load(), 0);
+  EXPECT_EQ(off_caller.load(), 0);
 }
 
 TEST(ThreadPoolTest, BoundedQueueStillCompletesUnderBurst) {
