@@ -2,6 +2,7 @@
 #define P2PDT_COMMON_FUNCTION_H_
 
 #include <cstddef>
+#include <functional>
 #include <memory>
 #include <new>
 #include <type_traits>
@@ -20,9 +21,20 @@ namespace p2pdt {
 ///
 /// Only what the event loop needs is provided: construct from any callable,
 /// move, invoke once or more via operator(), test for emptiness. Copying is
-/// deliberately deleted.
+/// deliberately deleted. As with `std::function`, wrapping a null function
+/// pointer or an empty `std::function` yields an empty UniqueFunction, so
+/// `if (fn)` keeps meaning "there is something to call".
 class UniqueFunction {
  public:
+  static constexpr std::size_t kInlineSize = 48;
+
+  /// True when wrapping a callable of type F allocates nothing: it is
+  /// stored in the inline buffer.
+  template <typename F>
+  static constexpr bool kStoredInline =
+      sizeof(F) <= kInlineSize && alignof(F) <= alignof(std::max_align_t) &&
+      std::is_nothrow_move_constructible_v<F>;
+
   UniqueFunction() = default;
   UniqueFunction(std::nullptr_t) {}  // NOLINT — mirrors std::function
 
@@ -32,9 +44,10 @@ class UniqueFunction {
                 std::is_invocable_r_v<void, std::decay_t<F>&>>>
   UniqueFunction(F&& f) {  // NOLINT — converting, like std::function
     using Decayed = std::decay_t<F>;
-    if constexpr (sizeof(Decayed) <= kInlineSize &&
-                  alignof(Decayed) <= alignof(std::max_align_t) &&
-                  std::is_nothrow_move_constructible_v<Decayed>) {
+    if constexpr (IsNullable<Decayed>::value) {
+      if (f == nullptr) return;
+    }
+    if constexpr (kStoredInline<Decayed>) {
       ::new (static_cast<void*>(buffer_)) Decayed(std::forward<F>(f));
       vtable_ = &InlineVTable<Decayed>::value;
     } else {
@@ -67,7 +80,12 @@ class UniqueFunction {
   explicit operator bool() const { return vtable_ != nullptr; }
 
  private:
-  static constexpr std::size_t kInlineSize = 48;
+  /// Callables that can hold "nothing": wrapping one of those must not
+  /// produce a non-empty UniqueFunction that throws when invoked.
+  template <typename F>
+  struct IsNullable : std::is_pointer<F> {};
+  template <typename R, typename... Args>
+  struct IsNullable<std::function<R(Args...)>> : std::true_type {};
 
   struct VTable {
     void (*invoke)(unsigned char*);

@@ -317,71 +317,57 @@ void ChordOverlay::Broadcast(NodeId origin, std::size_t payload_bytes,
   // sub-intervals to its fingers inside that range. O(N) messages, O(log N)
   // depth, no duplicates on a stable ring. Drops prune whole subtrees —
   // exactly how churn hurts dissemination in practice.
-  struct BcastState {
-    std::size_t pending = 0;
-    std::vector<bool> delivered;
-    std::function<void(NodeId)> on_deliver;
-    std::function<void()> on_complete;
-    std::function<void(NodeId, uint64_t)> spread;
-  };
-  auto st = std::make_shared<BcastState>();
-  st->delivered.resize(state_.size(), false);
-  st->on_deliver = std::move(on_deliver);
-  st->on_complete = std::move(on_complete);
+  auto* run = new BroadcastRun();
+  run->reached.resize(state_.size(), false);
+  run->on_deliver = std::move(on_deliver);
+  run->on_complete = std::move(on_complete);
+  run->bytes = payload_bytes;
+  run->type = type;
 
-  auto finish_one = [this, st] {
-    if (--st->pending > 0) return;
-    if (st->on_complete) sim_.Schedule(0.0, std::move(st->on_complete));
-    st->spread = nullptr;  // break the shared_ptr cycle
-  };
-
-  st->spread = [this, st, payload_bytes, type, finish_one](NodeId at,
-                                                           uint64_t limit) {
-    // Collect distinct fingers inside (key(at), limit), ascending by ring
-    // distance from `at`.
-    const NodeState& s = state_[at];
-    uint64_t rel_limit = (limit - s.key) & key_mask_;
-    if (rel_limit == 0) rel_limit = key_mask_;  // root covers the full ring
-    std::vector<NodeId> targets;
-    for (NodeId f : s.fingers) {
-      if (f == kInvalidNode || f == at) continue;
-      uint64_t rel_f = (state_[f].key - s.key) & key_mask_;
-      if (rel_f == 0 || rel_f >= rel_limit) continue;
-      targets.push_back(f);
-    }
-    std::sort(targets.begin(), targets.end(), [&](NodeId a, NodeId b) {
-      return ((state_[a].key - s.key) & key_mask_) <
-             ((state_[b].key - s.key) & key_mask_);
-    });
-    targets.erase(std::unique(targets.begin(), targets.end()),
-                  targets.end());
-
-    for (std::size_t i = 0; i < targets.size(); ++i) {
-      NodeId t = targets[i];
-      uint64_t sub_limit =
-          (i + 1 < targets.size()) ? state_[targets[i + 1]].key : limit;
-      ++st->pending;
-      net_.Send(
-          at, t, payload_bytes, type,
-          [st, t, sub_limit, finish_one] {
-            if (t < st->delivered.size() && !st->delivered[t]) {
-              st->delivered[t] = true;
-              if (st->on_deliver) st->on_deliver(t);
-            }
-            if (st->spread) st->spread(t, sub_limit);
-            finish_one();
-          },
-          finish_one);
-    }
-  };
-
-  ++st->pending;  // root task
+  ++run->pending;  // root task
   if (origin < state_.size() && state_[origin].member &&
       net_.IsOnline(origin)) {
-    st->delivered[origin] = true;
-    st->spread(origin, state_[origin].key);
+    run->reached[origin] = true;
+    SpreadBroadcast(run, origin, state_[origin].key);
   }
-  finish_one();
+  FinishBroadcastTask(run, sim_);
+}
+
+void ChordOverlay::SpreadBroadcast(BroadcastRun* run, NodeId at,
+                                   uint64_t limit) {
+  const NodeState& s = state_[at];
+  uint64_t rel_limit = (limit - s.key) & key_mask_;
+  if (rel_limit == 0) rel_limit = key_mask_;  // root covers the full ring
+  auto hop = [&](NodeId t, uint64_t sub_limit) {
+    ++run->pending;
+    net_.Send(
+        at, t, run->bytes, run->type,
+        [this, run, t, sub_limit] {
+          if (t < run->reached.size() && !run->reached[t]) {
+            run->reached[t] = true;
+            if (run->on_deliver) run->on_deliver(t);
+          }
+          SpreadBroadcast(run, t, sub_limit);
+          FinishBroadcastTask(run, sim_);
+        },
+        [this, run] { FinishBroadcastTask(run, sim_); });
+  };
+  // Each distinct finger inside (key(at), limit) is delegated the interval
+  // up to the next one. finger[i] = successor(key + 2^i) as of the node's
+  // last refresh and keys never move, so even a stale table is in ring
+  // order with equal fingers adjacent: one pass, no sort, and a hop is sent
+  // once the next target (its sub-limit) is known.
+  NodeId prev = kInvalidNode;
+  for (NodeId f : s.fingers) {
+    if (f == kInvalidNode || f == prev) continue;
+    const uint64_t rel_f = (state_[f].key - s.key) & key_mask_;
+    if (rel_f == 0 || rel_f >= rel_limit) continue;
+    assert(prev == kInvalidNode ||
+           ((state_[prev].key - s.key) & key_mask_) < rel_f);
+    if (prev != kInvalidNode) hop(prev, state_[f].key);
+    prev = f;
+  }
+  if (prev != kInvalidNode) hop(prev, limit);
 }
 
 }  // namespace p2pdt

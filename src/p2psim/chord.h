@@ -126,6 +126,10 @@ class ChordOverlay final : public Overlay {
     TraceContext trace;
   };
 
+  /// Sends `run`'s payload from `at` to its distinct fingers inside
+  /// (key(at), limit), each delegated the sub-interval up to the next one.
+  void SpreadBroadcast(BroadcastRun* run, NodeId at, uint64_t limit);
+
   // True when `key` lies in the half-open ring interval (a, b].
   bool InHalfOpen(uint64_t key, uint64_t a, uint64_t b) const;
   NodeId SuccessorOnRing(uint64_t key) const;  // ground truth, online only

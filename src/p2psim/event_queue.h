@@ -3,7 +3,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <unordered_set>
+#include <unordered_map>
 #include <vector>
 
 #include "common/function.h"
@@ -20,49 +20,41 @@ struct SimEvent {
   UniqueFunction fn;
 };
 
-/// Indexed calendar queue (Brown 1988): the event scheduler behind the
-/// 100k-peer simulator.
+/// The event scheduler behind the 100k-peer simulator: a 4-ary min-heap of
+/// compact (time, seq, slot) keys over a slot array of callbacks.
 ///
-/// A `std::priority_queue` costs O(log n) per operation and, at tens of
-/// millions of pending events, the log factor plus heap churn dominates the
-/// simulation loop. A calendar queue hashes events by timestamp into
-/// `num_buckets` bucket "days" of `bucket_width` simulated seconds each;
-/// with the width tuned so that a bucket holds O(1) events, both enqueue
-/// and dequeue-min are O(1) amortized. The queue resizes itself (doubling /
-/// halving the calendar, re-estimating the width from the observed
-/// inter-event gap) as the population grows and shrinks.
+/// Only the 24-byte keys move while the heap is restored, so a push or pop
+/// costs O(log n) key compares and copies however large the callbacks are.
+/// Each callback is moved once into its slot at Push and once out at
+/// PopMin. Freed slots are chained through a free list and reused, so at a
+/// steady in-flight population the queue allocates nothing.
 ///
 /// Ordering contract — the part the equivalence tests pin down: events pop
 /// in exactly ascending (time, seq) order, i.e. the *identical* order a
 /// stable binary heap over (time, seq) would produce. Equal timestamps pop
-/// FIFO in scheduling order. This is what keeps the rearchitected engine
-/// bit-identical to the old `priority_queue` one.
+/// FIFO in scheduling order.
 ///
-/// Cancellation: `Push` returns the event's id (its sequence number);
-/// `Cancel(id)` marks a *pending* event dead — it is skipped (and its
-/// tombstone reclaimed) when its bucket position is reached. Cancelling an
-/// id that already popped, or twice, is a contract violation (the
-/// tombstone would leak); callers that cannot guarantee this must track
-/// execution themselves, which is what `Simulator` does.
-class CalendarQueue {
+/// Cancellation: `PushCancelable` returns an id that `Cancel` accepts while
+/// the event is pending. Cancel destroys the callback (and whatever it
+/// captured) at once and frees its slot; the key stays in the heap as a
+/// tombstone that PopMin/MinTime discard when it surfaces, recognised by
+/// its slot no longer carrying the key's sequence number.
+class EventQueue {
  public:
-  struct Options {
-    /// Initial calendar size (rounded up to a power of two).
-    std::size_t initial_buckets = 16;
-    /// Initial bucket width in simulated seconds.
-    double initial_width = 0.05;
-    /// Automatic calendar resizing; fixable for tests that probe edge
-    /// behavior at a forced size/width.
-    bool auto_resize = true;
-  };
+  EventQueue() = default;
+  EventQueue(const EventQueue&) = delete;
+  EventQueue& operator=(const EventQueue&) = delete;
 
-  CalendarQueue();
-  explicit CalendarQueue(Options options);
+  /// Schedules `fn` at absolute `time` (negative or non-finite times are
+  /// clamped to 0); returns the event id (its sequence number).
+  uint64_t Push(double time, UniqueFunction&& fn);
 
-  /// Schedules `fn` at absolute `time` (>= 0); returns the event id.
-  uint64_t Push(double time, UniqueFunction fn);
+  /// Like Push, but the returned id may later be passed to Cancel.
+  uint64_t PushCancelable(double time, UniqueFunction&& fn);
 
-  /// Tombstones a pending event. Returns true (see class contract).
+  /// Cancels a pending event pushed with PushCancelable and destroys its
+  /// callback. Returns false when the event already popped, was already
+  /// cancelled, or the id was not issued by PushCancelable.
   bool Cancel(uint64_t id);
 
   /// Live (pending, uncancelled) events.
@@ -79,54 +71,58 @@ class CalendarQueue {
   /// Total events ever pushed (== next id).
   uint64_t total_pushed() const { return next_seq_; }
 
-  // Introspection for tests and the resize heuristics.
-  std::size_t num_buckets() const { return buckets_.size(); }
-  double bucket_width() const { return width_; }
+  /// Times the key heap or the slot array had to grow its storage.
   std::size_t num_resizes() const { return resizes_; }
 
  private:
-  /// One calendar day: events sorted ascending by (time, seq) from `head`
-  /// on; slots before `head` are already popped (compacted lazily).
-  struct Bucket {
-    std::vector<SimEvent> ev;
-    std::size_t head = 0;
-
-    bool has_live() const { return head < ev.size(); }
-    SimEvent& front() { return ev[head]; }
+  struct Key {
+    double time;
+    uint64_t seq;
+    uint32_t slot;
   };
 
-  uint64_t SlotOf(double time) const;
-  void Insert(SimEvent event);
-  /// Skips tombstoned events at the bucket head, reclaiming tombstones.
-  void PurgeCancelledHead(Bucket& b);
-  /// Locates the minimal live event; positions scan state on it. Requires
-  /// live_ > 0. Returns its bucket index.
-  std::size_t FindMin();
-  void MaybeResize();
-  void Rebuild(std::size_t new_buckets, double new_width);
+  /// A callback and the sequence number of the event that owns it. A free
+  /// slot stores kFreeTag | (next free slot) instead, which no event's
+  /// sequence number can equal.
+  struct Slot {
+    UniqueFunction fn;
+    uint64_t seq = 0;
+  };
 
-  Options options_;
-  std::vector<Bucket> buckets_;
-  double width_ = 0.05;
-  /// Absolute slot index of the scan cursor; the cursor's bucket is
-  /// slot_ % num_buckets and its window is [slot_*width, (slot_+1)*width).
-  uint64_t slot_ = 0;
+  /// Four children per node halve the depth of a binary heap. On sim-pace
+  /// (4-core x86-64 host) this took ~5% off train time against
+  /// std::push_heap/pop_heap over the same keys, winning 9 of 10 pairs.
+  static constexpr std::size_t kArity = 4;
+  static constexpr uint64_t kFreeTag = uint64_t{1} << 63;
+  static constexpr uint32_t kNoSlot = static_cast<uint32_t>(-1);
+
+  static bool Less(const Key& a, const Key& b) {
+    return a.time < b.time || (a.time == b.time && a.seq < b.seq);
+  }
+
+  /// Places the event in a slot and its key in the heap.
+  Key Insert(double time, UniqueFunction&& fn);
+  /// Takes a free slot (or grows the array) and places `fn` in it.
+  uint32_t Acquire(uint64_t seq, UniqueFunction&& fn);
+  /// Returns a slot to the free list; its callback must already be gone.
+  void Release(uint32_t slot);
+  bool IsLive(const Key& key) const {
+    return slots_[key.slot].seq == key.seq;
+  }
+  /// Removes the heap's top key.
+  void PopTop();
+  /// Pops tombstones off the top until a live key is there. Requires
+  /// live_ > 0.
+  void SkipCancelled();
+
+  std::vector<Key> heap_;
+  std::vector<Slot> slots_;
+  uint32_t free_head_ = kNoSlot;
+  /// Pending events pushed with PushCancelable: id -> slot.
+  std::unordered_map<uint64_t, uint32_t> cancelable_;
   uint64_t next_seq_ = 0;
   std::size_t live_ = 0;
-  std::size_t stored_ = 0;  ///< live_ plus pending tombstones
-  std::unordered_set<uint64_t> cancelled_;
-  /// EWMA of the gap between consecutively popped timestamps; feeds the
-  /// width estimate at resize time.
-  double avg_gap_ = 0.0;
-  double last_pop_time_ = 0.0;
-  bool popped_any_ = false;
   std::size_t resizes_ = 0;
-  /// Cached FindMin result (bucket index), invalidated by pushes that could
-  /// precede it and by cancellations.
-  std::size_t cached_min_bucket_ = kNoCache;
-  double cached_min_time_ = 0.0;
-
-  static constexpr std::size_t kNoCache = static_cast<std::size_t>(-1);
 };
 
 }  // namespace p2pdt

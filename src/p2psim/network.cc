@@ -2,6 +2,8 @@
 
 #include <cassert>
 #include <cmath>
+#include <cstdint>
+#include <memory>
 
 #include "common/cost_ledger.h"
 #include "p2psim/trace.h"
@@ -59,10 +61,28 @@ double PhysicalNetwork::Latency(NodeId from, NodeId to) const {
          frac * (options_.max_latency - options_.min_latency);
 }
 
+/// A message's state between Send and its settlement, carried by value in
+/// the scheduled closure. The receiver is narrowed to 32 bits so that the
+/// closure — network, envelope and callback record — fits UniqueFunction's
+/// inline buffer.
+struct PhysicalNetwork::Envelope {
+  TraceContext span;
+  uint32_t to = 0;
+  MessageType type = MessageType::kLookup;
+  bool lost_random = false;
+  bool lost_injected = false;
+};
+
+/// A message's callbacks: allocated only when the sender passed one, so a
+/// callback-less probe costs no allocation and any other send costs one.
+struct PhysicalNetwork::Callbacks {
+  UniqueFunction on_deliver;
+  UniqueFunction on_drop;
+};
+
 void PhysicalNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
-                           MessageType type,
-                           std::function<void()> on_deliver,
-                           std::function<void()> on_drop) {
+                           MessageType type, UniqueFunction on_deliver,
+                           UniqueFunction on_drop) {
   assert(from < online_.size() && to < online_.size());
   stats_.RecordSend(type, bytes);
   if (CostLedger::enabled()) {
@@ -93,9 +113,9 @@ void PhysicalNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
       tracer_->EndSpan(span, sim_.Now());
     }
     if (on_drop) {
-      sim_.Schedule(0.0, [this, span, on_drop = std::move(on_drop)] {
+      sim_.Schedule(0.0, [this, span, drop = std::move(on_drop)]() mutable {
         ScopedTraceContext scope(tracer_, span);
-        on_drop();
+        drop();
       });
     }
     return;
@@ -103,43 +123,55 @@ void PhysicalNetwork::Send(NodeId from, NodeId to, std::size_t bytes,
 
   double delay = Latency(from, to) +
                  static_cast<double>(bytes) / options_.bandwidth_bytes_per_sec;
+  assert(to <= UINT32_MAX);
+  Envelope env;
+  env.span = span;
+  env.to = static_cast<uint32_t>(to);
+  env.type = type;
   // The baseline loss draw always happens, even when a fault rule already
   // condemned the message — identical RNG streams with and without a plan.
-  bool lost_random = rng_.Bernoulli(options_.loss_rate);
-  bool lost_injected = false;
+  env.lost_random = rng_.Bernoulli(options_.loss_rate);
   if (fault_hook_) {
     FaultDecision fd = fault_hook_(from, to, type, sim_.Now());
-    lost_injected = fd.drop;
+    env.lost_injected = fd.drop;
     delay += fd.extra_latency;
   }
+  std::unique_ptr<Callbacks> cb;
+  if (on_deliver || on_drop) {
+    cb = std::make_unique<Callbacks>();
+    cb->on_deliver = std::move(on_deliver);
+    cb->on_drop = std::move(on_drop);
+  }
+  auto arrive = [this, env, cb = std::move(cb)] { Arrive(env, cb.get()); };
+  static_assert(UniqueFunction::kStoredInline<decltype(arrive)>,
+                "a message's scheduled closure must not allocate");
+  sim_.Schedule(delay, std::move(arrive));
+}
 
-  sim_.Schedule(delay, [this, to, type, lost_random, lost_injected, span,
-                        on_deliver = std::move(on_deliver),
-                        on_drop = std::move(on_drop)]() {
-    if (lost_injected || lost_random || !online_[to]) {
-      DropReason reason = lost_injected  ? DropReason::kInjectedFault
-                          : lost_random ? DropReason::kRandomLoss
-                                        : DropReason::kRecvOffline;
-      stats_.RecordDrop(type, reason);
-      if (tracer_ != nullptr) {
-        tracer_->AddArg(span, "drop", DropReasonToString(reason));
-        tracer_->EndSpan(span, sim_.Now());
-      }
-      if (on_drop) {
-        ScopedTraceContext scope(tracer_, span);
-        on_drop();
-      }
-      return;
+void PhysicalNetwork::Arrive(const Envelope& env, Callbacks* cb) {
+  if (env.lost_injected || env.lost_random || !online_[env.to]) {
+    DropReason reason = env.lost_injected ? DropReason::kInjectedFault
+                        : env.lost_random ? DropReason::kRandomLoss
+                                          : DropReason::kRecvOffline;
+    stats_.RecordDrop(env.type, reason);
+    if (tracer_ != nullptr) {
+      tracer_->AddArg(env.span, "drop", DropReasonToString(reason));
+      tracer_->EndSpan(env.span, sim_.Now());
     }
-    stats_.RecordDelivery(type);
-    if (tracer_ != nullptr) tracer_->EndSpan(span, sim_.Now());
-    if (on_deliver) {
-      // The receiver reacts on behalf of this message: responses, ACKs and
-      // forwarded hops all become children of the message span.
-      ScopedTraceContext scope(tracer_, span);
-      on_deliver();
+    if (cb != nullptr && cb->on_drop) {
+      ScopedTraceContext scope(tracer_, env.span);
+      cb->on_drop();
     }
-  });
+    return;
+  }
+  stats_.RecordDelivery(env.type);
+  if (tracer_ != nullptr) tracer_->EndSpan(env.span, sim_.Now());
+  if (cb != nullptr && cb->on_deliver) {
+    // The receiver reacts on behalf of this message: responses, ACKs and
+    // forwarded hops all become children of the message span.
+    ScopedTraceContext scope(tracer_, env.span);
+    cb->on_deliver();
+  }
 }
 
 }  // namespace p2pdt

@@ -125,10 +125,17 @@ class PhysicalNetwork {
   /// `on_deliver` runs at the receiver; when it is dropped (sender offline,
   /// receiver offline at arrival, or random loss) `on_drop` runs instead
   /// (at the same simulated time the delivery would have happened, or
-  /// immediately for send-side failures). Either callback may be empty.
+  /// immediately for send-side failures). Either callback may be empty,
+  /// and either may capture move-only state. Both are destroyed once the
+  /// message is settled.
+  ///
+  /// Cost: a message without callbacks (a maintenance probe) travels
+  /// inside its scheduled closure and allocates nothing; one with callbacks
+  /// adds one heap record holding both (plus whatever the callbacks
+  /// themselves allocate when their captures exceed UniqueFunction's inline
+  /// buffer).
   void Send(NodeId from, NodeId to, std::size_t bytes, MessageType type,
-            std::function<void()> on_deliver,
-            std::function<void()> on_drop = nullptr);
+            UniqueFunction on_deliver, UniqueFunction on_drop = nullptr);
 
   /// Installs (or clears, with nullptr) the fault hook. At most one hook is
   /// active; FaultInjector composes multiple fault rules behind one hook.
@@ -162,6 +169,12 @@ class PhysicalNetwork {
   const AdversaryDirectory* adversaries() const { return adversaries_; }
 
  private:
+  struct Envelope;
+  struct Callbacks;
+  /// Settles a message at its delivery time: drop or deliver. `cb` is null
+  /// for a message sent without callbacks.
+  void Arrive(const Envelope& env, Callbacks* cb);
+
   Simulator& sim_;
   PhysicalNetworkOptions options_;
   Rng rng_;

@@ -3,10 +3,31 @@
 
 #include <functional>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "p2psim/network.h"
 
 namespace p2pdt {
+
+/// One Overlay::Broadcast in flight, reached by the hop callbacks through a
+/// plain pointer. It is owned by its outstanding tasks: the root call and
+/// every sent hop hold one `pending` count, and FinishBroadcastTask retires
+/// one; the last schedules `on_complete` and frees the run.
+struct BroadcastRun {
+  std::size_t pending = 0;
+  std::vector<bool> reached;  // peers that have seen the payload
+  std::function<void(NodeId)> on_deliver;
+  std::function<void()> on_complete;
+  std::size_t bytes = 0;
+  MessageType type = MessageType::kGossip;
+};
+
+inline void FinishBroadcastTask(BroadcastRun* run, Simulator& sim) {
+  if (--run->pending > 0) return;
+  if (run->on_complete) sim.Schedule(0.0, std::move(run->on_complete));
+  delete run;
+}
 
 /// Common surface of the overlay networks P2PDMT can generate ("Generate
 /// structured P2P network" / "Generate unstructured P2P network", Fig. 2).

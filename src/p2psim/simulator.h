@@ -2,7 +2,6 @@
 #define P2PDT_P2PSIM_SIMULATOR_H_
 
 #include <cstdint>
-#include <unordered_set>
 
 #include "common/function.h"
 #include "p2psim/event_queue.h"
@@ -20,11 +19,11 @@ using SimTime = double;
 /// order (a monotone sequence number breaks ties), which keeps runs
 /// fully deterministic.
 ///
-/// The scheduler is an indexed calendar queue (see CalendarQueue): O(1)
-/// amortized enqueue/dequeue instead of the O(log n) binary heap the first
-/// versions used, which is what makes 100k–1M-peer populations tractable.
-/// The pop order is bit-identical to the old stable heap — the equivalence
-/// property tests in event_queue_test pin that down.
+/// The scheduler is an EventQueue: a 4-ary heap of (time, seq, slot) keys
+/// over a slot array of callbacks, so a message costs O(log n) key moves
+/// and its callback is moved once in and once out. The pop order is
+/// bit-identical to the stable heap the first versions used — the
+/// equivalence property tests in event_queue_test pin that down.
 ///
 /// Callbacks are move-only (UniqueFunction), so events may carry move-only
 /// payloads; `std::function` and any other copyable callable convert
@@ -45,15 +44,16 @@ class Simulator {
 
   /// Schedules `fn` to run `delay` seconds from now (delay >= 0; negative
   /// delays are clamped to 0).
-  void Schedule(SimTime delay, Callback fn);
+  void Schedule(SimTime delay, Callback&& fn);
 
   /// Schedules `fn` at an absolute simulated time (clamped to >= Now()).
-  void ScheduleAt(SimTime when, Callback fn);
+  void ScheduleAt(SimTime when, Callback&& fn);
 
   /// Like Schedule, but returns a handle the caller may later Cancel —
   /// e.g. a retransmission timer disarmed by an early ACK. A cancelled
-  /// event never runs and costs only a tombstone in the queue.
-  EventId ScheduleCancelable(SimTime delay, Callback fn);
+  /// event never runs; its callback is destroyed at Cancel and only a
+  /// 24-byte tombstone key stays in the queue.
+  EventId ScheduleCancelable(SimTime delay, Callback&& fn);
 
   /// Cancels a pending cancelable event. Returns true when the event was
   /// still pending (it will not run); false when it already ran, was
@@ -76,16 +76,12 @@ class Simulator {
   std::size_t executed_events() const { return executed_; }
 
   /// Scheduler introspection (benchmarks and tests).
-  const CalendarQueue& queue() const { return queue_; }
+  const EventQueue& queue() const { return queue_; }
 
  private:
   SimTime now_ = 0.0;
   std::size_t executed_ = 0;
-  CalendarQueue queue_;
-  /// Ids issued by ScheduleCancelable that have not yet run or been
-  /// cancelled; keeps Cancel() exact without charging plain Schedule()
-  /// traffic (the overwhelming majority) any bookkeeping.
-  std::unordered_set<EventId> cancelable_;
+  EventQueue queue_;
 };
 
 }  // namespace p2pdt

@@ -63,62 +63,53 @@ void UnstructuredOverlay::Broadcast(NodeId origin, std::size_t payload_bytes,
                                     MessageType type,
                                     std::function<void(NodeId)> on_deliver,
                                     std::function<void()> on_complete) {
-  struct FloodState {
-    std::size_t pending = 0;
-    std::vector<bool> seen;
-    std::function<void(NodeId)> on_deliver;
-    std::function<void()> on_complete;
-    std::function<void(NodeId, int)> relay;
-  };
-  auto st = std::make_shared<FloodState>();
-  st->seen.resize(adjacency_.size(), false);
-  st->on_deliver = std::move(on_deliver);
-  st->on_complete = std::move(on_complete);
+  auto* run = new BroadcastRun();
+  run->reached.resize(adjacency_.size(), false);
+  run->on_deliver = std::move(on_deliver);
+  run->on_complete = std::move(on_complete);
+  run->bytes = payload_bytes + options_.header_bytes;
+  run->type = type;
 
-  auto finish_one = [this, st] {
-    if (--st->pending > 0) return;
-    if (st->on_complete) sim_.Schedule(0.0, std::move(st->on_complete));
-    st->relay = nullptr;  // break the cycle
-  };
-
-  std::size_t bytes = payload_bytes + options_.header_bytes;
-  st->relay = [this, st, bytes, type, finish_one](NodeId at, int ttl) {
-    if (ttl <= 0) return;
-    // Flooding forwards to every neighbor; gossip samples a fanout-sized
-    // random subset per hop.
-    std::vector<NodeId> targets = adjacency_[at];
-    if (options_.mode == DisseminationMode::kGossip &&
-        targets.size() > options_.gossip_fanout) {
-      rng_.Shuffle(targets);
-      targets.resize(options_.gossip_fanout);
-    }
-    for (NodeId nb : targets) {
-      // Senders do not know receiver liveness; they do suppress neighbors
-      // they already heard the message from (via `seen` bookkeeping at the
-      // receiving end only — the sender-side check models the standard
-      // "don't echo back" rule imperfectly but cheaply).
-      ++st->pending;
-      net_.Send(
-          at, nb, bytes, type,
-          [st, nb, ttl, finish_one] {
-            if (!st->seen[nb]) {
-              st->seen[nb] = true;
-              if (st->on_deliver) st->on_deliver(nb);
-              if (st->relay) st->relay(nb, ttl - 1);
-            }
-            finish_one();
-          },
-          finish_one);
-    }
-  };
-
-  ++st->pending;  // root task
+  ++run->pending;  // root task
   if (origin < adjacency_.size() && member_[origin] &&
       net_.IsOnline(origin)) {
-    st->seen[origin] = true;
-    st->relay(origin, options_.flood_ttl);
+    run->reached[origin] = true;
+    Relay(run, origin, options_.flood_ttl);
   }
-  finish_one();
+  FinishBroadcastTask(run, sim_);
+}
+
+void UnstructuredOverlay::Relay(BroadcastRun* run, NodeId at, int ttl) {
+  if (ttl <= 0) return;
+  // Flooding forwards to every neighbor; gossip samples a fanout-sized
+  // random subset per hop.
+  const std::vector<NodeId>* targets = &adjacency_[at];
+  std::vector<NodeId> sample;
+  if (options_.mode == DisseminationMode::kGossip &&
+      targets->size() > options_.gossip_fanout) {
+    sample = *targets;
+    rng_.Shuffle(sample);
+    sample.resize(options_.gossip_fanout);
+    targets = &sample;
+  }
+  for (NodeId nb : *targets) {
+    // Senders do not know receiver liveness; they do suppress neighbors
+    // they already heard the message from (via `reached` bookkeeping at the
+    // receiving end only — the sender-side check models the standard
+    // "don't echo back" rule imperfectly but cheaply).
+    ++run->pending;
+    net_.Send(
+        at, nb, run->bytes, run->type,
+        [this, run, nb, ttl] {
+          if (!run->reached[nb]) {
+            run->reached[nb] = true;
+            if (run->on_deliver) run->on_deliver(nb);
+            Relay(run, nb, ttl - 1);
+          }
+          FinishBroadcastTask(run, sim_);
+        },
+        [this, run] { FinishBroadcastTask(run, sim_); });
+  }
 }
 
 }  // namespace p2pdt

@@ -72,6 +72,9 @@ class UnstructuredOverlay final : public Overlay {
 
  private:
   void Connect(NodeId a, NodeId b);
+  /// Forwards `run`'s payload from `at` to its neighbors (or a gossip
+  /// sample of them) while `ttl` lasts.
+  void Relay(BroadcastRun* run, NodeId at, int ttl);
 
   Simulator& sim_;
   PhysicalNetwork& net_;

@@ -1,7 +1,12 @@
 #include "p2psim/chord.h"
 
+#include <algorithm>
 #include <cmath>
+#include <functional>
+#include <memory>
 #include <set>
+#include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -281,6 +286,177 @@ TEST(ChordTest, RejoinRefreshesOwnState) {
   ChordOverlay::LookupResult r = ring.LookupSync(victim, key);
   EXPECT_TRUE(r.success);
   EXPECT_EQ(r.owner, ring.chord->OwnerOf(key));
+}
+
+/// Test-only reference for ChordOverlay::Broadcast: the finger-table
+/// broadcast with its original target selection — every valid finger inside
+/// (key(at), limit), sorted by ring distance and de-duplicated per hop —
+/// and its original std::function / shared_ptr plumbing. The production
+/// hop must produce the same sends in the same order.
+void ReferenceBroadcast(Ring& ring, NodeId origin, std::size_t bytes,
+                        MessageType type,
+                        std::function<void(NodeId)> on_deliver,
+                        std::function<void()> on_complete) {
+  struct State {
+    std::size_t pending = 0;
+    std::vector<bool> delivered;
+    std::function<void(NodeId)> on_deliver;
+    std::function<void()> on_complete;
+    std::function<void(NodeId, uint64_t)> spread;
+  };
+  ChordOverlay& chord = *ring.chord;
+  PhysicalNetwork& net = *ring.net;
+  Simulator& sim = ring.sim;
+  const std::size_t bits = chord.options().key_bits;
+  const uint64_t mask =
+      bits == 64 ? ~uint64_t{0} : (uint64_t{1} << bits) - 1;
+  auto st = std::make_shared<State>();
+  st->delivered.resize(net.num_nodes(), false);
+  st->on_deliver = std::move(on_deliver);
+  st->on_complete = std::move(on_complete);
+  auto finish_one = [&sim, st] {
+    if (--st->pending > 0) return;
+    if (st->on_complete) sim.Schedule(0.0, std::move(st->on_complete));
+    st->spread = nullptr;
+  };
+  st->spread = [&chord, &net, st, bytes, type, mask, finish_one](
+                   NodeId at, uint64_t limit) {
+    const uint64_t at_key = chord.KeyOf(at);
+    uint64_t rel_limit = (limit - at_key) & mask;
+    if (rel_limit == 0) rel_limit = mask;
+    std::vector<NodeId> targets;
+    for (NodeId f : chord.FingersOf(at)) {
+      const uint64_t rel_f = (chord.KeyOf(f) - at_key) & mask;
+      if (f == at || rel_f == 0 || rel_f >= rel_limit) continue;
+      targets.push_back(f);
+    }
+    std::sort(targets.begin(), targets.end(), [&](NodeId a, NodeId b) {
+      return ((chord.KeyOf(a) - at_key) & mask) <
+             ((chord.KeyOf(b) - at_key) & mask);
+    });
+    targets.erase(std::unique(targets.begin(), targets.end()),
+                  targets.end());
+    for (std::size_t i = 0; i < targets.size(); ++i) {
+      const NodeId t = targets[i];
+      const uint64_t sub_limit =
+          i + 1 < targets.size() ? chord.KeyOf(targets[i + 1]) : limit;
+      ++st->pending;
+      net.Send(
+          at, t, bytes, type,
+          [st, t, sub_limit, finish_one] {
+            if (t < st->delivered.size() && !st->delivered[t]) {
+              st->delivered[t] = true;
+              if (st->on_deliver) st->on_deliver(t);
+            }
+            if (st->spread) st->spread(t, sub_limit);
+            finish_one();
+          },
+          finish_one);
+    }
+  };
+  ++st->pending;
+  if (origin < net.num_nodes() && net.IsOnline(origin)) {
+    st->delivered[origin] = true;
+    st->spread(origin, chord.KeyOf(origin));
+  }
+  finish_one();
+}
+
+/// A 96-peer ring left stale: after bootstrap, 16 peers join (each builds
+/// only its own tables), 20 fail and 6 of those rejoin (refreshing only
+/// themselves), and no stabilization round runs.
+std::unique_ptr<Ring> StaleRing() {
+  auto ring = std::make_unique<Ring>(80);
+  ring->net->AddNodes(16);
+  for (NodeId n = 80; n < 96; ++n) ring->chord->AddNode(n);
+  Rng rng(77);
+  std::vector<NodeId> failed;
+  while (failed.size() < 20) {
+    const NodeId n = rng.NextU64(96);
+    if (!ring->net->IsOnline(n) || n == 5) continue;
+    ring->net->SetOnline(n, false);
+    ring->chord->OnTransition(n, false);
+    failed.push_back(n);
+  }
+  for (std::size_t i = 0; i < 6; ++i) {
+    ring->net->SetOnline(failed[i], true);
+    ring->chord->OnTransition(failed[i], true);
+  }
+  ring->sim.RunAll();  // settle the join/rejoin maintenance probes
+  return ring;
+}
+
+TEST(ChordTest, BroadcastOverStaleFingersMatchesReferenceSelection) {
+  using Delivery = std::pair<NodeId, double>;
+  auto run = [](bool reference, std::vector<Delivery>* deliveries,
+                uint64_t* sent, uint64_t* dropped, double* completed_at) {
+    std::unique_ptr<Ring> ring = StaleRing();
+    const uint64_t sent0 = ring->net->stats().messages_sent();
+    const uint64_t dropped0 = ring->net->stats().messages_dropped();
+    Simulator& sim = ring->sim;
+    auto on_deliver = [deliveries, &sim](NodeId n) {
+      deliveries->emplace_back(n, sim.Now());
+    };
+    auto on_complete = [completed_at, &sim] { *completed_at = sim.Now(); };
+    if (reference) {
+      ReferenceBroadcast(*ring, 5, 256, MessageType::kModelBroadcast,
+                         on_deliver, on_complete);
+    } else {
+      ring->chord->Broadcast(5, 256, MessageType::kModelBroadcast,
+                             on_deliver, on_complete);
+    }
+    sim.RunAll();
+    *sent = ring->net->stats().messages_sent() - sent0;
+    *dropped = ring->net->stats().messages_dropped() - dropped0;
+    // Every delivery went to a distinct peer that is online.
+    std::set<NodeId> distinct;
+    for (const Delivery& d : *deliveries) {
+      EXPECT_TRUE(ring->net->IsOnline(d.first)) << d.first;
+      EXPECT_TRUE(distinct.insert(d.first).second) << d.first;
+    }
+    EXPECT_EQ(distinct.count(5), 0u);
+  };
+  std::vector<Delivery> got, want;
+  uint64_t got_sent = 0, want_sent = 0, got_dropped = 0, want_dropped = 0;
+  double got_done = -1.0, want_done = -1.0;
+  run(false, &got, &got_sent, &got_dropped, &got_done);
+  run(true, &want, &want_sent, &want_dropped, &want_done);
+  // Staleness is really exercised: hops hit failed peers.
+  EXPECT_GT(want_dropped, 0u);
+  EXPECT_GT(want.size(), 40u);
+  EXPECT_EQ(got, want);
+  EXPECT_EQ(got_sent, want_sent);
+  EXPECT_EQ(got_dropped, want_dropped);
+  EXPECT_EQ(got_done, want_done);
+  EXPECT_GE(got_done, 0.0);
+}
+
+TEST(ChordTest, BroadcastOnRefreshedRingMatchesReferenceAndReachesAll) {
+  // The same ring after one stabilization round: every online member is
+  // reached exactly once, in the reference's order.
+  using Delivery = std::pair<NodeId, double>;
+  auto run = [](bool reference, std::vector<Delivery>* deliveries) {
+    std::unique_ptr<Ring> ring = StaleRing();
+    ring->chord->Bootstrap();
+    ring->sim.RunAll();
+    Simulator& sim = ring->sim;
+    auto on_deliver = [deliveries, &sim](NodeId n) {
+      deliveries->emplace_back(n, sim.Now());
+    };
+    if (reference) {
+      ReferenceBroadcast(*ring, 5, 64, MessageType::kGossip, on_deliver,
+                         nullptr);
+    } else {
+      ring->chord->Broadcast(5, 64, MessageType::kGossip, on_deliver,
+                             nullptr);
+    }
+    sim.RunAll();
+    EXPECT_EQ(deliveries->size(), ring->net->num_online() - 1);
+  };
+  std::vector<Delivery> got, want;
+  run(false, &got);
+  run(true, &want);
+  EXPECT_EQ(got, want);
 }
 
 }  // namespace

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+#include <string>
+
 namespace p2pdt {
 namespace {
 
@@ -168,6 +172,103 @@ TEST(NetworkTest, SelfSendDeliversWithZeroLatency) {
   net.Send(0, 0, 8, MessageType::kLookup, [&] { at = sim.Now(); });
   sim.RunAll();
   EXPECT_NEAR(at, 0.0, 1e-9);
+}
+
+TEST(NetworkTest, MoveOnlyCallbacksTravelThroughSend) {
+  Simulator sim;
+  PhysicalNetwork net(sim);
+  net.AddNodes(2);
+  int got = 0;
+  net.Send(0, 1, 8, MessageType::kDataTransfer,
+           [p = std::make_unique<int>(7), &got] { got = *p; },
+           [p = std::make_unique<int>(9), &got] { got = *p; });
+  sim.RunAll();
+  EXPECT_EQ(got, 7);
+}
+
+TEST(NetworkTest, CallbacksDestroyedOnceWhateverSettlesTheMessage) {
+  // Both callbacks share `token`; once the simulator has settled the
+  // message — delivered or dropped for any reason — every copy must be
+  // gone, and exactly the right one must have run, once.
+  enum class Outcome { kDelivered, kSendOffline, kRecvOffline, kRandomLoss,
+                       kInjectedFault };
+  for (Outcome outcome :
+       {Outcome::kDelivered, Outcome::kSendOffline, Outcome::kRecvOffline,
+        Outcome::kRandomLoss, Outcome::kInjectedFault}) {
+    SCOPED_TRACE(static_cast<int>(outcome));
+    Simulator sim;
+    PhysicalNetworkOptions opt;
+    if (outcome == Outcome::kRandomLoss) opt.loss_rate = 1.0;
+    PhysicalNetwork net(sim, opt);
+    net.AddNodes(2);
+    if (outcome == Outcome::kSendOffline) net.SetOnline(0, false);
+    if (outcome == Outcome::kRecvOffline) net.SetOnline(1, false);
+    if (outcome == Outcome::kInjectedFault) {
+      net.SetFaultHook([](NodeId, NodeId, MessageType, SimTime) {
+        return FaultDecision{true, 0.0};
+      });
+    }
+    auto token = std::make_shared<int>(0);
+    int delivered = 0, dropped = 0;
+    net.Send(0, 1, 16, MessageType::kLookup,
+             [token, &delivered] { ++delivered; },
+             [token, &dropped] { ++dropped; });
+    EXPECT_GT(token.use_count(), 1);
+    sim.RunAll();
+    EXPECT_EQ(token.use_count(), 1);
+    EXPECT_EQ(delivered, outcome == Outcome::kDelivered ? 1 : 0);
+    EXPECT_EQ(dropped, outcome == Outcome::kDelivered ? 0 : 1);
+  }
+}
+
+TEST(NetworkTest, CallbacklessMessagesSettleLikeAnyOther) {
+  // A message with no callbacks (a maintenance probe) carries no callback
+  // record; it must still be delivered, or dropped for the right reason.
+  Simulator sim;
+  PhysicalNetworkOptions opt;
+  opt.loss_rate = 0.5;
+  PhysicalNetwork net(sim, opt);
+  net.AddNodes(3);
+  net.SetFaultHook([](NodeId, NodeId to, MessageType, SimTime) {
+    return FaultDecision{to == 2, 0.0};
+  });
+  constexpr int kSends = 400;
+  for (int i = 0; i < kSends; ++i) {
+    net.Send(0, 1, 8, MessageType::kOverlayMaintenance, nullptr, nullptr);
+  }
+  net.Send(0, 2, 8, MessageType::kOverlayMaintenance, nullptr, nullptr);
+  sim.RunAll();
+  const uint64_t lost = net.stats().dropped(DropReason::kRandomLoss);
+  EXPECT_GT(lost, 100u);
+  EXPECT_LT(lost, 300u);
+  EXPECT_EQ(net.stats().dropped(DropReason::kInjectedFault), 1u);
+  EXPECT_EQ(net.stats().messages_delivered(), kSends - lost);
+
+  net.SetOnline(1, false);
+  net.Send(0, 1, 8, MessageType::kOverlayMaintenance, nullptr, nullptr);
+  net.SetOnline(0, false);
+  net.Send(0, 1, 8, MessageType::kOverlayMaintenance, nullptr, nullptr);
+  sim.RunAll();
+  EXPECT_EQ(net.stats().dropped(DropReason::kSendOffline), 1u);
+  EXPECT_EQ(net.stats().dropped(DropReason::kRandomLoss) +
+                net.stats().dropped(DropReason::kRecvOffline),
+            lost + 1);
+  EXPECT_EQ(net.stats().messages_dropped(), lost + 3);
+  EXPECT_EQ(net.stats().messages_delivered(), kSends - lost);
+}
+
+TEST(NetworkTest, EmptyStdFunctionDropCallbackSchedulesNothing) {
+  // An empty std::function passed as on_drop must count as "no callback":
+  // an offline sender's message then costs no event at all.
+  Simulator sim;
+  PhysicalNetwork net(sim);
+  net.AddNodes(2);
+  net.SetOnline(0, false);
+  std::function<void()> no_drop;
+  net.Send(0, 1, 8, MessageType::kLookup, nullptr, no_drop);
+  EXPECT_EQ(sim.pending_events(), 0u);
+  EXPECT_EQ(sim.RunAll(), 0u);
+  EXPECT_EQ(net.stats().messages_dropped(), 1u);
 }
 
 }  // namespace

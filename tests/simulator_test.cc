@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
+#include <memory>
+
 namespace p2pdt {
 namespace {
 
@@ -104,6 +107,41 @@ TEST(SimulatorTest, ExecutedEventCount) {
   for (int i = 0; i < 7; ++i) sim.Schedule(i, [] {});
   sim.RunAll();
   EXPECT_EQ(sim.executed_events(), 7u);
+}
+
+TEST(SimulatorTest, UniqueFunctionFromEmptyCallableIsEmpty) {
+  // Wrapping an empty std::function or a null function pointer must give an
+  // empty UniqueFunction — not one that tests true and then throws
+  // bad_function_call — so `if (callback)` still means something.
+  std::function<void()> empty;
+  EXPECT_FALSE(static_cast<bool>(UniqueFunction(empty)));
+  EXPECT_FALSE(static_cast<bool>(UniqueFunction(std::function<void()>())));
+  void (*null_fn)() = nullptr;
+  EXPECT_FALSE(static_cast<bool>(UniqueFunction(null_fn)));
+
+  int calls = 0;
+  std::function<void()> full = [&calls] { ++calls; };
+  UniqueFunction wrapped(full);
+  ASSERT_TRUE(static_cast<bool>(wrapped));
+  wrapped();
+  EXPECT_EQ(calls, 1);
+}
+
+TEST(SimulatorTest, CancelIsExact) {
+  Simulator sim;
+  int ran = 0;
+  sim.Schedule(1.0, [&] { ++ran; });
+  const Simulator::EventId early =
+      sim.ScheduleCancelable(2.0, [&] { ++ran; });
+  const Simulator::EventId late = sim.ScheduleCancelable(3.0, [&] { ++ran; });
+  EXPECT_FALSE(sim.Cancel(Simulator::kInvalidEvent));
+  EXPECT_TRUE(sim.Cancel(late));
+  EXPECT_FALSE(sim.Cancel(late));  // already cancelled
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.RunAll();
+  EXPECT_EQ(ran, 2);
+  EXPECT_FALSE(sim.Cancel(early));  // already ran
+  EXPECT_DOUBLE_EQ(sim.Now(), 2.0);
 }
 
 }  // namespace
