@@ -1,9 +1,14 @@
 // CLAIM3 — document preprocessing throughput (paper Sec. 2, "Document
 // preprocessing"): tokenizer, stop-word filter, Porter stemmer, vectorizer
-// and the assembled pipeline, on realistic generated documents.
+// and the assembled pipeline, on realistic generated documents; then a
+// whole corpus per document (Process) and in one batch (ProcessAll at 1
+// and 4 threads).
 
 #include <benchmark/benchmark.h>
 
+#include <string_view>
+
+#include "common/thread_pool.h"
 #include "corpus/generator.h"
 #include "text/preprocessor.h"
 
@@ -116,6 +121,55 @@ void BM_PipelineGrowingVsHashedLexicon(benchmark::State& state) {
                           static_cast<int64_t>(texts.size()));
 }
 BENCHMARK(BM_PipelineGrowingVsHashedLexicon)->Arg(0)->Arg(1);
+
+// 4096 documents (16 ProcessAll chunks) for the corpus-level comparison.
+const std::vector<std::string>& CorpusTexts() {
+  static const std::vector<std::string> texts = [] {
+    CorpusOptions opt;
+    opt.num_users = 64;
+    opt.min_docs_per_user = 64;
+    opt.max_docs_per_user = 64;
+    opt.vocabulary_size = 2000;
+    opt.seed = 5;
+    GeneratedCorpus corpus = std::move(GenerateCorpus(opt)).value();
+    std::vector<std::string> out;
+    for (auto& doc : corpus.documents) out.push_back(std::move(doc.text));
+    return out;
+  }();
+  return texts;
+}
+
+// Baseline for BM_CorpusProcessAll: the same corpus, one Process call per
+// document, into a fresh hashed lexicon each run.
+void BM_CorpusPerDocument(benchmark::State& state) {
+  const auto& texts = CorpusTexts();
+  for (auto _ : state) {
+    Preprocessor pre;
+    for (const auto& text : texts) benchmark::DoNotOptimize(pre.Process(text));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(texts.size()));
+}
+BENCHMARK(BM_CorpusPerDocument)->Unit(benchmark::kMillisecond)->UseRealTime();
+
+// Arg = global pool concurrency (P2PDT_THREADS equivalent).
+void BM_CorpusProcessAll(benchmark::State& state) {
+  ThreadPool::SetGlobalConcurrency(static_cast<std::size_t>(state.range(0)));
+  const std::vector<std::string_view> texts(CorpusTexts().begin(),
+                                            CorpusTexts().end());
+  for (auto _ : state) {
+    Preprocessor pre;
+    benchmark::DoNotOptimize(pre.ProcessAll(texts));
+  }
+  state.SetItemsProcessed(state.iterations() *
+                          static_cast<int64_t>(texts.size()));
+  ThreadPool::SetGlobalConcurrency(0);
+}
+BENCHMARK(BM_CorpusProcessAll)
+    ->Arg(1)
+    ->Arg(4)
+    ->Unit(benchmark::kMillisecond)
+    ->UseRealTime();
 
 }  // namespace
 

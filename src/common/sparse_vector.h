@@ -65,6 +65,13 @@ class SparseVector {
   /// Normalizes to unit L2 norm; no-op on the zero vector.
   void L2Normalize();
 
+  /// Replaces each weight w of id i by f(i, w), in place. `f` must not
+  /// return 0: only non-zero weights are stored.
+  template <typename F>
+  void MapWeights(F&& f) {
+    for (Entry& e : entries_) e.second = f(e.first, e.second);
+  }
+
   /// this += alpha * other (sparse axpy).
   void Add(const SparseVector& other, double alpha = 1.0);
 

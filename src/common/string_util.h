@@ -1,11 +1,23 @@
 #ifndef P2PDT_COMMON_STRING_UTIL_H_
 #define P2PDT_COMMON_STRING_UTIL_H_
 
+#include <cstddef>
+#include <functional>
 #include <string>
 #include <string_view>
 #include <vector>
 
 namespace p2pdt {
+
+/// Transparent hash for unordered containers keyed by std::string: paired
+/// with std::equal_to<>, find/count accept a std::string_view without
+/// building a temporary string.
+struct StringViewHash {
+  using is_transparent = void;
+  std::size_t operator()(std::string_view s) const noexcept {
+    return std::hash<std::string_view>{}(s);
+  }
+};
 
 /// Splits `s` on any occurrence of `delim`, keeping empty fields.
 std::vector<std::string> Split(std::string_view s, char delim);

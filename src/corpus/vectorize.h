@@ -26,8 +26,8 @@ struct VectorizedCorpus {
 };
 
 /// Preprocesses every document of `corpus` with `preprocessor` (tokenize →
-/// filter → stem → vectorize) and maps tag names to dense ids in
-/// corpus.tag_names order.
+/// filter → stem → vectorize, as one Preprocessor::ProcessAll batch) and
+/// maps tag names to dense ids in corpus.tag_names order.
 Result<VectorizedCorpus> VectorizeCorpus(const GeneratedCorpus& corpus,
                                          Preprocessor& preprocessor);
 

@@ -19,14 +19,16 @@ uint32_t Lexicon::HashWord(std::string_view word) {
 }
 
 uint32_t Lexicon::GetOrAddId(std::string_view word) {
+  auto it = word_to_id_.find(word);
+  if (it != word_to_id_.end()) return it->second;
   if (hashed_) {
     uint32_t id = HashWord(word) % dimensions_;
-    auto [it, inserted] = word_to_id_.try_emplace(std::string(word), id);
-    if (inserted) hash_to_word_.try_emplace(id, it->first);
-    return it->second;
+    it = word_to_id_.emplace(std::string(word), id).first;
+    // First writer wins: a colliding later word keeps its id but is not
+    // reversible.
+    hash_to_word_.try_emplace(id, it->first);
+    return id;
   }
-  auto it = word_to_id_.find(std::string(word));
-  if (it != word_to_id_.end()) return it->second;
   uint32_t id = static_cast<uint32_t>(id_to_word_.size());
   id_to_word_.emplace_back(word);
   word_to_id_.emplace(id_to_word_.back(), id);
@@ -35,7 +37,7 @@ uint32_t Lexicon::GetOrAddId(std::string_view word) {
 
 Result<uint32_t> Lexicon::GetId(std::string_view word) const {
   if (hashed_) return HashWord(word) % dimensions_;
-  auto it = word_to_id_.find(std::string(word));
+  auto it = word_to_id_.find(word);
   if (it == word_to_id_.end()) {
     return Status::NotFound("word not in lexicon: " + std::string(word));
   }

@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/string_util.h"
 
 namespace p2pdt {
 
@@ -65,7 +66,9 @@ class Lexicon {
  private:
   bool hashed_ = false;
   uint32_t dimensions_ = 0;
-  std::unordered_map<std::string, uint32_t> word_to_id_;
+  // Transparent lookup: GetOrAddId / GetId copy a word only to insert it.
+  std::unordered_map<std::string, uint32_t, StringViewHash, std::equal_to<>>
+      word_to_id_;
   std::vector<std::string> id_to_word_;                    // growing mode
   std::unordered_map<uint32_t, std::string> hash_to_word_;  // hashed mode
 };

@@ -334,8 +334,4 @@ std::string PorterStemmer::Stem(std::string_view word) const {
   return b.str();
 }
 
-void PorterStemmer::StemAll(std::vector<std::string>& tokens) const {
-  for (auto& t : tokens) t = Stem(t);
-}
-
 }  // namespace p2pdt

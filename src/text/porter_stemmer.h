@@ -3,7 +3,6 @@
 
 #include <string>
 #include <string_view>
-#include <vector>
 
 namespace p2pdt {
 
@@ -21,9 +20,6 @@ class PorterStemmer {
  public:
   /// Stems one token.
   std::string Stem(std::string_view word) const;
-
-  /// Stems every token in place.
-  void StemAll(std::vector<std::string>& tokens) const;
 };
 
 }  // namespace p2pdt

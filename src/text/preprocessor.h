@@ -1,6 +1,8 @@
 #ifndef P2PDT_TEXT_PREPROCESSOR_H_
 #define P2PDT_TEXT_PREPROCESSOR_H_
 
+#include <cstddef>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -48,9 +50,35 @@ class Preprocessor {
   /// Full pipeline against the frozen lexicon (test-time path).
   SparseVector ProcessConst(std::string_view text) const;
 
+  /// Documents per ProcessAll chunk: the unit of parallel work and the
+  /// scope of its token memo.
+  static constexpr std::size_t kBatchChunkDocs = 256;
+  /// Chunks per ProcessAll wave: the phases below run on this many chunks
+  /// at a time, which bounds the batch's temporaries. Results do not
+  /// depend on it.
+  static constexpr std::size_t kBatchWaveChunks = 16;
+
+  /// Batch Process: element i equals Process(texts[i]), and the lexicon
+  /// ends exactly as that loop over i = 0, 1, ... would leave it (same
+  /// words, same ids, same first-writer-wins reverse entries).
+  ///
+  /// Runs in three phases over fixed chunks of kBatchChunkDocs documents,
+  /// one wave of kBatchWaveChunks chunks after another:
+  ///  1. analyze (parallel): each chunk tokenizes its documents, filters
+  ///     and stems each distinct raw token once, and records its stems in
+  ///     first-seen order plus a (local stem, term count) list per document;
+  ///  2. commit (serial, chunk order): each chunk's stems go through
+  ///     Lexicon::GetOrAddId, replaying the per-document insert order;
+  ///  3. finish (parallel): local stems become lexicon ids and each
+  ///     document goes through Vectorizer::Finish.
+  /// Output is independent of the thread count; P2PDT_THREADS=1 or a call
+  /// nested in a pool task runs every phase on the calling thread.
+  std::vector<SparseVector> ProcessAll(std::span<const std::string_view> texts);
+
   Lexicon& lexicon() { return lexicon_; }
   const Lexicon& lexicon() const { return lexicon_; }
   StopWordFilter& stop_words() { return stop_words_; }
+  Vectorizer& vectorizer() { return vectorizer_; }
   const Tokenizer& tokenizer() const { return tokenizer_; }
 
  private:

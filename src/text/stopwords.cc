@@ -59,11 +59,11 @@ bool StopWordFilter::IsFiltered(std::string_view token) const {
 }
 
 bool StopWordFilter::IsStopWord(std::string_view token) const {
-  return stop_words_.count(std::string(token)) > 0;
+  return stop_words_.contains(token);
 }
 
 bool StopWordFilter::IsSensitive(std::string_view token) const {
-  return sensitive_words_.count(std::string(token)) > 0;
+  return sensitive_words_.contains(token);
 }
 
 std::vector<std::string> StopWordFilter::Filter(

@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/status.h"
+#include "common/string_util.h"
 
 namespace p2pdt {
 
@@ -49,8 +50,11 @@ class StopWordFilter {
   std::size_t num_sensitive_words() const { return sensitive_words_.size(); }
 
  private:
-  std::unordered_set<std::string> stop_words_;
-  std::unordered_set<std::string> sensitive_words_;
+  // Transparent lookup: a token view is checked without a string copy.
+  using WordSet =
+      std::unordered_set<std::string, StringViewHash, std::equal_to<>>;
+  WordSet stop_words_;
+  WordSet sensitive_words_;
 };
 
 }  // namespace p2pdt

@@ -1,6 +1,7 @@
 #ifndef P2PDT_TEXT_TOKENIZER_H_
 #define P2PDT_TEXT_TOKENIZER_H_
 
+#include <cctype>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -36,13 +37,54 @@ class Tokenizer {
   /// Tokenizes `text` into normalized tokens.
   std::vector<std::string> Tokenize(std::string_view text) const;
 
+  /// Calls `emit(std::string_view token)` for each normalized token of
+  /// `text`, in order. Tokens are assembled in `buffer` (reused across
+  /// calls, so a warm buffer allocates nothing); each view is valid only
+  /// for the duration of its `emit` call. Every tokenizing path in the text
+  /// layer runs through this one implementation.
+  template <typename Emit>
+  void ForEachToken(std::string_view text, std::string& buffer,
+                    Emit&& emit) const;
+
   const TokenizerOptions& options() const { return options_; }
 
  private:
-  bool Keep(const std::string& token) const;
-
   TokenizerOptions options_;
 };
+
+template <typename Emit>
+void Tokenizer::ForEachToken(std::string_view text, std::string& buffer,
+                             Emit&& emit) const {
+  buffer.clear();
+  bool has_digit = false;
+  auto flush = [&] {
+    if (!buffer.empty()) {
+      if ((!has_digit || options_.keep_alphanumeric) &&
+          buffer.size() >= options_.min_token_length &&
+          buffer.size() <= options_.max_token_length) {
+        emit(std::string_view(buffer));
+      }
+      buffer.clear();
+    }
+    has_digit = false;
+  };
+
+  for (char raw : text) {
+    unsigned char c = static_cast<unsigned char>(raw);
+    if (std::isalpha(c)) {
+      buffer += options_.lowercase ? static_cast<char>(std::tolower(c)) : raw;
+    } else if (std::isdigit(c)) {
+      buffer += raw;
+      has_digit = true;
+    } else if (raw == '\'' && !buffer.empty()) {
+      // Intra-word apostrophe ("don't" -> "dont"): strip, keep the run going.
+      continue;
+    } else {
+      flush();
+    }
+  }
+  flush();
+}
 
 }  // namespace p2pdt
 

@@ -1,5 +1,6 @@
 #include "text/vectorizer.h"
 
+#include <cassert>
 #include <cmath>
 #include <map>
 
@@ -42,16 +43,18 @@ double Vectorizer::WeightFor(uint32_t id, double tf) const {
 SparseVector Vectorizer::Finish(
     std::vector<SparseVector::Entry> counts) const {
   SparseVector v = SparseVector::FromPairs(std::move(counts));
-  // FromPairs summed duplicate ids, so entries now hold raw term counts;
-  // map them through the weighting scheme.
-  std::vector<SparseVector::Entry> weighted;
-  weighted.reserve(v.nnz());
-  for (const auto& [id, tf] : v.entries()) {
-    weighted.emplace_back(id, WeightFor(id, tf));
-  }
-  SparseVector out = SparseVector::FromPairs(std::move(weighted));
-  if (options_.l2_normalize) out.L2Normalize();
-  return out;
+  // FromPairs summed duplicate ids, so entries now hold raw term counts
+  // (each >= 1); map them through the weighting scheme in place. Every
+  // scheme gives a count >= 1 a weight >= 1 (idf >= 1 because a word's
+  // document frequency never exceeds the fitted document count), so no
+  // entry becomes zero and the vector stays sorted and sparse.
+  v.MapWeights([this](uint32_t id, double tf) {
+    const double w = WeightFor(id, tf);
+    assert(w >= 1.0);
+    return w;
+  });
+  if (options_.l2_normalize) v.L2Normalize();
+  return v;
 }
 
 SparseVector Vectorizer::Vectorize(const std::vector<std::string>& tokens,

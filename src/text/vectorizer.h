@@ -54,12 +54,18 @@ class Vectorizer {
   SparseVector VectorizeConst(const std::vector<std::string>& tokens,
                               const Lexicon& lexicon) const;
 
+  /// Turns raw (id, count) pairs into a finished document vector: ids are
+  /// sorted and duplicate counts summed, each count is mapped through the
+  /// weighting scheme, and the result is L2-normalized when configured.
+  /// Both the per-token paths above and Preprocessor::ProcessAll (which
+  /// passes pre-counted pairs) end here.
+  SparseVector Finish(std::vector<SparseVector::Entry> counts) const;
+
   const VectorizerOptions& options() const { return options_; }
   std::size_t num_fitted_documents() const { return num_documents_; }
 
  private:
   double WeightFor(uint32_t id, double tf) const;
-  SparseVector Finish(std::vector<SparseVector::Entry> counts) const;
 
   VectorizerOptions options_;
   std::size_t num_documents_ = 0;

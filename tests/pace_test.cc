@@ -159,7 +159,9 @@ TEST(PaceTest, ScoresExposeConfidences) {
   ASSERT_EQ(p.scores.size(), 4u);
   // The true tag's score dominates.
   for (TagId t = 0; t < 4; ++t) {
-    if (t != 2) EXPECT_GT(p.scores[2], p.scores[t]);
+    if (t != 2) {
+      EXPECT_GT(p.scores[2], p.scores[t]);
+    }
   }
 }
 

@@ -114,12 +114,5 @@ TEST(PorterStemmerTest, InflectionFamiliesCollapse) {
   EXPECT_EQ(stemmer.Stem("connect"), stemmer.Stem("connections"));
 }
 
-TEST(PorterStemmerTest, StemAllInPlace) {
-  PorterStemmer stemmer;
-  std::vector<std::string> tokens = {"cats", "running", "the"};
-  stemmer.StemAll(tokens);
-  EXPECT_EQ(tokens, (std::vector<std::string>{"cat", "run", "the"}));
-}
-
 }  // namespace
 }  // namespace p2pdt
