@@ -1,11 +1,13 @@
-// Sweep runner: the fault, poisoning and churn grids run through RunSweep
+// Sweep runner: the fault, poisoning, churn, drift and overload grids run
 // on a tiny corpus, each pinned to its full CSV text, plus the failure
 // accounting every sweep bench relies on to exit non-zero.
 
 #include <gtest/gtest.h>
 
 #include "p2pdmt/byzantine.h"
+#include "p2pdmt/drift.h"
 #include "p2pdmt/experiment.h"
+#include "p2pdmt/overload.h"
 #include "p2pdmt/recovery_experiment.h"
 #include "p2pdmt/robustness.h"
 
@@ -94,6 +96,44 @@ pace,pareto,warm,0.692308,0.723419,0,40,15,14,14,0,0,0,83926,0.25,0.25
 pace,pareto,cold,0.692308,0.723419,0,40,15,14,0,14,0,260,83926,0.371429,0.78
 )csv";
 
+constexpr char kDriftCsv[] = R"csv(algorithm,scenario,policy,loss_rate,churn,num_epochs,first_drift_epoch,pre_drift_f1,min_post_drift_f1,final_f1,max_dip,recovery_epochs,reconverged,retrains,drift_detections,give_ups,suspected_peers,total_messages,total_bytes,fingerprint
+pace,none,frozen,0,0,4,4,0.62619,0.60101,0.62619,0.0251804,0,1,0,1,0,0,140,78148,96190a763b8b6c8c
+pace,none,drift,0,0,4,4,0.62619,0.60101,0.62619,0.0251804,0,1,1,1,0,0,147,103068,2ce9f642d258192a
+pace,none,frozen,0.2,0,4,4,0.62619,0.60101,0.62619,0.0251804,0,1,0,1,0,0,230,105504,47f4aa32aa96707f
+pace,none,drift,0.2,0,4,4,0.62619,0.60101,0.62619,0.0251804,0,1,1,1,0,0,250,151952,9334f14f4e167b40
+cempar,none,frozen,0,0,4,4,0.987654,0.943355,0.987654,0.0442992,0,1,0,0,0,0,1400,108640,33ff47316c3acdab
+cempar,none,drift,0,0,4,4,0.987654,0.943355,0.987654,0.0442992,0,1,0,0,0,0,1400,108640,33ff47316c3acdab
+cempar,none,frozen,0.2,0,4,4,0.799423,0.72764,0.799423,0.0717832,0,1,0,0,0,0,1736,144416,578f56735776f978
+cempar,none,drift,0.2,0,4,4,0.799423,0.72764,0.799423,0.0717832,0,1,0,0,0,0,1736,144416,578f56735776f978
+pace,sudden_vocab,frozen,0,0,4,2,0.633519,0.519139,0.529762,0.11438,4,0,0,3,0,0,140,78148,369453362ae8d9d3
+pace,sudden_vocab,drift,0,0,4,2,0.633519,0.519139,0.529762,0.11438,4,0,3,3,0,0,161,167692,0a3bbb6a8f896a08
+pace,sudden_vocab,frozen,0.2,0,4,2,0.633519,0.519139,0.529762,0.11438,4,0,0,3,0,0,230,105504,90dbbd149a51d1fc
+pace,sudden_vocab,drift,0.2,0,4,2,0.633519,0.519139,0.529762,0.11438,4,0,3,3,0,0,282,271824,6ff98e795b8f8e45
+pace,sudden_vocab,frozen,0.2,1,4,2,0.633519,0.519139,0.529762,0.11438,4,0,0,3,0,0,230,105504,90dbbd149a51d1fc
+pace,sudden_vocab,drift,0.2,1,4,2,0.633519,0.519139,0.529762,0.11438,4,0,3,3,0,0,282,271824,6ff98e795b8f8e45
+cempar,sudden_vocab,frozen,0,0,4,2,0.943355,0.32265,0.32265,0.620706,4,0,0,8,0,0,1400,108436,f11f3b04906f9f12
+cempar,sudden_vocab,drift,0,0,4,2,0.943355,0.362659,0.67265,0.580696,4,0,8,8,0,0,1454,142452,be75fea33988340b
+cempar,sudden_vocab,frozen,0.2,0,4,2,0.72764,0.541275,0.541275,0.186365,4,0,0,6,0,0,1752,143940,e81887d24ad25993
+cempar,sudden_vocab,drift,0.2,0,4,2,0.72764,0.541275,0.541275,0.186365,4,0,6,6,0,0,1806,177968,00400a0d9d1ec802
+cempar,sudden_vocab,frozen,0.2,1,4,2,0.72764,0.541275,0.541275,0.186365,4,0,0,6,0,0,1752,143940,e81887d24ad25993
+cempar,sudden_vocab,drift,0.2,1,4,2,0.72764,0.541275,0.541275,0.186365,4,0,6,6,0,0,1806,177968,00400a0d9d1ec802
+)csv";
+
+constexpr char kOverloadCsv[] = R"csv(algorithm,arm,burst,arrival_rate,burst_multiplier,offered,completed,ok,degraded,cached,failed,shed,retries,within_slo,goodput_within_slo,shed_rate,cache_hit_rate,p50_s,p95_s,p99_s,slo_s,give_ups,fingerprint
+pace,undefended,disarmed,0,1,40,40,40,0,0,0,0,0,0,0,0,0,0,0,0,1,0,a4200700dda3aa4b
+pace,defended,disarmed,0,1,40,40,40,0,0,0,0,0,0,0,0,0,0,0,0,1,0,a4200700dda3aa4b
+pace,undefended,none,12,1,38,38,38,0,0,0,0,0,38,6.68549,0,0,0.201786,0.429399,0.429399,1,0,0b25dadc89d2f833
+pace,defended,none,12,1,38,38,37,0,1,0,0,0,38,6.68549,0,0.0263158,0.2,0.429399,0.429399,1,0,9caa5baa1a1a735d
+pace,undefended,flash,12,6,38,38,38,0,0,0,0,0,38,7.27023,0,0,0.235714,0.666667,0.779143,1,0,f05e0ab5c0c5fd1d
+pace,defended,flash,12,6,38,38,34,0,4,0,1,1,38,7.27023,0.025641,0.102564,0.2125,0.5,0.774739,1,0,cb1cfbc4283abe3d
+cempar,undefended,disarmed,0,1,40,40,40,0,0,0,0,0,0,0,0,0,0,0,0,1,0,299f84e52d603964
+cempar,defended,disarmed,0,1,40,40,40,0,0,0,0,0,0,0,0,0,0,0,0,1,0,299f84e52d603964
+cempar,undefended,none,12,1,38,38,38,0,0,0,0,0,38,6.71684,0,0,0.411765,0.771762,0.771762,1,0,b794bfa3afc512c4
+cempar,defended,none,12,1,38,38,37,0,1,0,0,0,38,6.69318,0,0.0263158,0.396552,0.708428,0.708428,1,0,7613b49eda676425
+cempar,undefended,flash,12,6,38,38,38,0,0,0,0,0,35,6.65244,0,0,0.555556,1.11333,1.11333,1,0,b55b560bffbf4544
+cempar,defended,flash,12,6,38,38,36,0,2,0,0,0,38,7.19529,0,0.0526316,0.447368,0.883334,0.883334,1,0,602ccb880feb6b67
+)csv";
+
 TEST(SweepGoldenTest, FaultGrid) {
   // A 3 s horizon puts every plan's fault window inside training.
   std::vector<NamedFaultPlan> plans = CanonicalFaultPlans(10, 3.0);
@@ -125,6 +165,57 @@ TEST(SweepGoldenTest, ChurnGrid) {
   SweepResult sweep = RunSweep(TinyCorpus(), WarmColdGrid(base), nullptr);
   EXPECT_TRUE(sweep.failed.empty());
   EXPECT_EQ(ChurnCsv(sweep.rows).ToString(), kChurnCsv);
+}
+
+// A tiny drifting stream: two scenarios, both protocols, two policies,
+// clean and lossy links, plus the churn arm.
+StreamOptions TinyStream() {
+  StreamOptions stream;
+  stream.base.num_users = 8;
+  stream.base.num_tags = 3;
+  stream.base.vocabulary_size = 300;
+  stream.base.topic_words_per_tag = 20;
+  stream.base.min_doc_words = 15;
+  stream.base.max_doc_words = 40;
+  stream.base.seed = 4242;
+  stream.num_epochs = 4;
+  stream.min_docs_per_user_per_epoch = 3;
+  stream.max_docs_per_user_per_epoch = 4;
+  return stream;
+}
+
+TEST(SweepGoldenTest, DriftGrid) {
+  DriftSweepOptions sweep;
+  sweep.stream = TinyStream();
+  sweep.base.pace.reliable_dissemination = true;
+  sweep.base.cempar.reliable_transport = true;
+  sweep.base.window_documents = 24;
+  sweep.base.staleness.window = 8;
+  sweep.base.staleness.min_observations = 6;
+  sweep.base.staleness.drift_threshold = 0.06;
+  sweep.base.staleness.stale_after_docs = 16;
+  sweep.scenarios = {"none", "sudden_vocab"};
+  sweep.policies = {RetrainPolicy::kFrozen, RetrainPolicy::kDriftTriggered};
+  Result<std::vector<DriftRow>> rows = RunDriftSweep(sweep);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(DriftCsv(rows.value()).ToString(), kDriftCsv);
+}
+
+TEST(SweepGoldenTest, OverloadGrid) {
+  OverloadSweepOptions sweep;
+  sweep.base.env.num_peers = 10;
+  sweep.base.distribution.cls = ClassDistribution::kByUser;
+  sweep.base.loadgen.sessions = 10;
+  sweep.base.loadgen.min_docs = 3;
+  sweep.base.loadgen.max_docs = 5;
+  sweep.base.loadgen.slo_latency = 1.0;
+  sweep.base.loadgen.max_retries = 1;
+  sweep.arrival_rates = {12.0};
+  sweep.burst_multiplier = 6.0;
+  Result<std::vector<OverloadRow>> rows =
+      RunOverloadSweep(TinyCorpus(), sweep);
+  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
+  EXPECT_EQ(OverloadCsv(rows.value()).ToString(), kOverloadCsv);
 }
 
 TEST(RunSweepTest, FailedPointIsNamedAndSkipped) {
