@@ -49,8 +49,8 @@ DriftExperimentOptions BaseOptions() {
   DriftExperimentOptions base;
   // The refresh republish rides the reliable transport — that is the whole
   // point of the 20 %-loss arm.
-  base.pace.reliable_dissemination = true;
-  base.cempar.reliable_transport = true;
+  base.experiment.pace.reliable_dissemination = true;
+  base.experiment.cempar.reliable_transport = true;
   base.window_documents = 40;
   // Tuned to the stream cadence (~5 docs per peer per epoch): the anchor
   // forms during the first post-train epoch or two, a sustained quality
@@ -79,59 +79,52 @@ void PrintHeader() {
               "finalF1", "recov", "retrains", "giveups");
 }
 
-DriftSweepOptions CommonSweep() {
-  DriftSweepOptions sweep;
-  sweep.stream = BaseStream();
-  sweep.base = BaseOptions();
-  sweep.on_point = [](const DriftRow& row) {
-    std::printf("%-8s %-16s %-10s %5.2f %5s %8.4f %8.4f %8.4f %5zu %8llu "
-                "%7llu\n",
-                row.algorithm.c_str(), row.scenario.c_str(),
-                row.policy.c_str(), row.loss_rate, row.churn ? "on" : "off",
-                row.pre_drift_f1, row.min_post_drift_f1, row.final_f1,
-                row.recovery_epochs,
-                static_cast<unsigned long long>(row.retrains),
-                static_cast<unsigned long long>(row.give_ups));
-  };
-  return sweep;
-}
-
-int RunSweep(DriftSweepOptions sweep) {
+int RunGrid(const StreamOptions& stream, const std::vector<DriftPoint>& points) {
   PrintHeader();
-  Result<std::vector<DriftRow>> rows = RunDriftSweep(sweep);
-  if (!rows.ok()) {
+  Result<DriftSweep> sweep =
+      RunDriftSweep(stream, points, [](const DriftRow& row) {
+        const DriftExperimentResult& r = row.result;
+        const EnvironmentOptions& env = row.point.options.experiment.env;
+        std::printf("%-8s %-16s %-10s %5.2f %5s %8.4f %8.4f %8.4f %5zu "
+                    "%8llu %7llu\n",
+                    r.algorithm.c_str(), row.point.scenario.c_str(),
+                    r.policy.c_str(), env.physical.loss_rate,
+                    env.churn != ChurnType::kNone ? "on" : "off",
+                    r.pre_drift_f1, r.min_post_drift_f1, r.final_f1,
+                    r.recovery_epochs,
+                    static_cast<unsigned long long>(r.retrains),
+                    static_cast<unsigned long long>(r.give_ups));
+      });
+  if (!sweep.ok()) {
     std::fprintf(stderr, "sweep failed: %s\n",
-                 rows.status().ToString().c_str());
+                 sweep.status().ToString().c_str());
     return 1;
   }
-  if (rows.value().empty()) {
-    std::fprintf(stderr, "sweep produced no rows\n");
-    return 1;
-  }
-  WriteResults(DriftCsv(rows.value()), "drift.csv");
-  return 0;
+  WriteResults(DriftCsv(sweep->rows), "drift.csv");
+  return ReportSweepFailures(*sweep);
 }
 
 int RunSmoke() {
   std::printf("=== DRIFT1 smoke: stationary + sudden vocab shift for CI "
               "===\n");
-  DriftSweepOptions sweep = CommonSweep();
-  sweep.stream.base.num_users = 10;
-  sweep.stream.base.num_tags = 4;
-  sweep.stream.base.vocabulary_size = 800;
-  sweep.stream.num_epochs = 6;
-  sweep.stream.min_docs_per_user_per_epoch = 3;
-  sweep.stream.max_docs_per_user_per_epoch = 5;
+  StreamOptions stream = BaseStream();
+  stream.base.num_users = 10;
+  stream.base.num_tags = 4;
+  stream.base.vocabulary_size = 800;
+  stream.num_epochs = 6;
+  stream.min_docs_per_user_per_epoch = 3;
+  stream.max_docs_per_user_per_epoch = 5;
+  DriftExperimentOptions base = BaseOptions();
   // The smoke stream is smaller and harder (baseline Jaccard ~0.42), which
   // compresses both the noise ceiling (~0.034 across 10 peers) and the
   // drift signal (~0.06-0.16) — recalibrate the threshold to its scale.
-  sweep.base.staleness.drift_threshold = 0.06;
-  sweep.algorithms = {AlgorithmType::kPace};
-  sweep.scenarios = {"none", "sudden_vocab"};
-  sweep.policies = {RetrainPolicy::kFrozen, RetrainPolicy::kDriftTriggered};
-  sweep.loss_rates = {0.2};
-  sweep.churn_arm = false;
-  return RunSweep(std::move(sweep));
+  base.staleness.drift_threshold = 0.06;
+  return RunGrid(stream,
+                 DriftGrid(base, {AlgorithmType::kPace},
+                           {"none", "sudden_vocab"},
+                           {RetrainPolicy::kFrozen,
+                            RetrainPolicy::kDriftTriggered},
+                           /*loss_rates=*/{0.2}, /*churn_arm=*/false));
 }
 
 }  // namespace
@@ -141,5 +134,13 @@ int main(int argc, char** argv) {
 
   std::printf("=== DRIFT1: drift scenario x retrain policy x loss x churn "
               "===\n\n");
-  return RunSweep(CommonSweep());
+  return RunGrid(
+      BaseStream(),
+      DriftGrid(BaseOptions(), {AlgorithmType::kPace, AlgorithmType::kCempar},
+                {"none", "sudden_vocab", "gradual_rotation",
+                 "popularity_spike", "new_tag"},
+                {RetrainPolicy::kFrozen, RetrainPolicy::kPeriodic,
+                 RetrainPolicy::kStalenessTriggered,
+                 RetrainPolicy::kDriftTriggered},
+                /*loss_rates=*/{0.0, 0.2}, /*churn_arm=*/true));
 }

@@ -32,59 +32,53 @@ void PrintHeader() {
               "cached", "shed", "goodput", "p95_s", "hit_rate", "giveups");
 }
 
-OverloadSweepOptions CommonSweep(std::size_t num_peers) {
-  OverloadSweepOptions sweep;
-  sweep.base.env.num_peers = num_peers;
-  sweep.base.distribution.cls = ClassDistribution::kByUser;
-  sweep.base.loadgen.sessions = num_peers;
-  sweep.base.loadgen.slo_latency = 1.0;
-  sweep.base.loadgen.max_retries = 1;
-  sweep.base.loadgen.retry_backoff = 0.5;
-  sweep.base.seed = 20100913;
-  sweep.on_point = [](const OverloadRow& row) {
-    std::printf(
-        "%-8s %-11s %-9s %7.3g %5.3g %8llu %7llu %7llu %7llu %8.3f %8.3f "
-        "%8.3f %8llu\n",
-        row.algorithm.c_str(), row.arm.c_str(), row.burst.c_str(),
-        row.arrival_rate, row.burst_multiplier,
-        static_cast<unsigned long long>(row.offered),
-        static_cast<unsigned long long>(row.ok),
-        static_cast<unsigned long long>(row.cached),
-        static_cast<unsigned long long>(row.shed), row.goodput_within_slo,
-        row.p95_s, row.cache_hit_rate,
-        static_cast<unsigned long long>(row.give_ups));
-  };
-  return sweep;
+OverloadExperimentOptions CommonBase(std::size_t num_peers) {
+  OverloadExperimentOptions base;
+  base.experiment.env.num_peers = num_peers;
+  base.experiment.distribution.cls = ClassDistribution::kByUser;
+  base.experiment.seed = 20100913;
+  base.loadgen.sessions = num_peers;
+  base.loadgen.slo_latency = 1.0;
+  base.loadgen.max_retries = 1;
+  base.loadgen.retry_backoff = 0.5;
+  return base;
 }
 
-int RunSweep(const OverloadSweepOptions& sweep) {
+int RunGrid(const OverloadExperimentOptions& base,
+            const std::vector<double>& arrival_rates,
+            double burst_multiplier) {
   PrintHeader();
-  Result<std::vector<OverloadRow>> rows =
-      RunOverloadSweep(SharedCorpus(sweep.base.env.num_peers, 6), sweep);
-  if (!rows.ok()) {
-    std::fprintf(stderr, "sweep failed: %s\n",
-                 rows.status().ToString().c_str());
-    return 1;
-  }
-  if (rows.value().empty()) {
-    std::fprintf(stderr, "sweep produced no rows\n");
-    return 1;
-  }
-  WriteResults(OverloadCsv(rows.value()), "overload.csv");
-  return 0;
+  OverloadSweep sweep = RunOverloadSweep(
+      SharedCorpus(base.experiment.env.num_peers, 6),
+      OverloadGrid(base, arrival_rates, burst_multiplier),
+      [](const OverloadRow& row) {
+        const OverloadRunStats& s = row.result;
+        std::printf(
+            "%-8s %-11s %-9s %7.3g %5.3g %8llu %7llu %7llu %7llu %8.3f "
+            "%8.3f %8.3f %8llu\n",
+            AlgorithmTypeToString(row.point.options.experiment.algorithm),
+            row.point.arm.c_str(), row.point.burst.c_str(),
+            row.point.arrival_rate(), row.point.burst_multiplier(),
+            static_cast<unsigned long long>(s.load.offered),
+            static_cast<unsigned long long>(s.load.ok),
+            static_cast<unsigned long long>(s.load.cached),
+            static_cast<unsigned long long>(s.requests_shed),
+            s.load.goodput_within_slo, s.load.p95_latency,
+            s.cache_hit_rate(), static_cast<unsigned long long>(s.give_ups));
+      });
+  WriteResults(OverloadCsv(sweep.rows), "overload.csv");
+  return ReportSweepFailures(sweep);
 }
 
 int RunSmoke() {
   std::printf("=== OVER1 smoke: flash crowd, defended vs undefended ===\n");
-  OverloadSweepOptions sweep = CommonSweep(/*num_peers=*/24);
+  OverloadExperimentOptions base = CommonBase(/*num_peers=*/24);
   // Sessions long enough that the burst catches most of each session's
   // tail (that is what builds the undefended backlog); a single aggregate
   // rate and a hard multiplier keep the separation unambiguous for CI.
-  sweep.base.loadgen.min_docs = 20;
-  sweep.base.loadgen.max_docs = 32;
-  sweep.arrival_rates = {24.0};
-  sweep.burst_multiplier = 20.0;
-  return RunSweep(sweep);
+  base.loadgen.min_docs = 20;
+  base.loadgen.max_docs = 32;
+  return RunGrid(base, /*arrival_rates=*/{24.0}, /*burst_multiplier=*/20.0);
 }
 
 }  // namespace
@@ -93,10 +87,9 @@ int main(int argc, char** argv) {
   if (argc > 1 && std::strcmp(argv[1], "--smoke") == 0) return RunSmoke();
 
   std::printf("=== OVER1: offered load x burst x arm x algorithm ===\n\n");
-  OverloadSweepOptions sweep = CommonSweep(/*num_peers=*/64);
-  sweep.base.loadgen.min_docs = 50;
-  sweep.base.loadgen.max_docs = 80;
-  sweep.arrival_rates = {32.0, 64.0};
-  sweep.burst_multiplier = 8.0;
-  return RunSweep(sweep);
+  OverloadExperimentOptions base = CommonBase(/*num_peers=*/64);
+  base.loadgen.min_docs = 50;
+  base.loadgen.max_docs = 80;
+  return RunGrid(base, /*arrival_rates=*/{32.0, 64.0},
+                 /*burst_multiplier=*/8.0);
 }

@@ -83,14 +83,13 @@ Result<ServiceRow> RunArm(const VectorizedCorpus& corpus,
   row.algorithm = algorithm == AlgorithmType::kCempar ? "cempar" : "pace";
   row.arm = faulted ? "faulted" : "clean";
 
-  ServiceHarnessOptions harness;
+  ExperimentOptions harness;
   harness.algorithm = algorithm;
   harness.env.num_peers = bench.num_peers;
-  harness.max_docs = bench.catalog_cap;
   harness.seed = 20100913;
   const double t0 = MonotonicSeconds();
   Result<std::unique_ptr<TrainedService>> service =
-      BuildTrainedService(corpus, harness);
+      BuildTrainedService(corpus, harness, bench.catalog_cap);
   P2PDT_RETURN_IF_ERROR(service.status());
   row.train_wall_s = MonotonicSeconds() - t0;
   TrainedService& trained = **service;
@@ -155,12 +154,6 @@ CsvWriter ServiceCsv(const std::vector<ServiceRow>& rows) {
                  "daemon_slow_consumer_closed", "drain_completed",
                  "fault_resets", "fault_stalls_reaped", "fault_typed_errors",
                  "fault_predicts_ok", "fault_liveness_ok"});
-  char buf[32];
-  auto hex = [&buf](uint64_t v) {
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-  };
   for (const ServiceRow& row : rows) {
     const LoadGenResult& r = row.replay.load;
     const DaemonStats& d = row.daemon;
@@ -173,7 +166,7 @@ CsvWriter ServiceCsv(const std::vector<ServiceRow>& rows) {
                 CsvNumber(r.p95_latency), CsvNumber(r.p99_latency),
                 CsvNumber(row.replay.achieved_rate),
                 CsvNumber(row.replay.wall_seconds),
-                CsvNumber(row.train_wall_s), hex(r.fingerprint),
+                CsvNumber(row.train_wall_s), CsvHex(r.fingerprint),
                 std::to_string(d.accepted), std::to_string(d.requests),
                 std::to_string(d.malformed_frames + d.malformed_payloads),
                 std::to_string(d.oversized_frames),

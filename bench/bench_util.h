@@ -92,7 +92,8 @@ inline void WriteResults(const CsvWriter& csv, const std::string& name) {
 
 /// Names every failed sweep point on stderr. Returns the bench's exit code:
 /// non-zero when any point failed, so a short CSV never passes.
-inline int ReportSweepFailures(const SweepResult& sweep) {
+template <typename Sweep>
+int ReportSweepFailures(const Sweep& sweep) {
   if (sweep.failed.empty()) return 0;
   std::fprintf(stderr, "%zu of %zu sweep points failed:\n",
                sweep.failed.size(), sweep.failed.size() + sweep.rows.size());

@@ -54,6 +54,13 @@ std::string CsvNumber(double v) {
   return buf;
 }
 
+std::string CsvHex(uint64_t v) {
+  char buf[32];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
 std::string CsvEscape(const std::string& field) {
   bool needs_quoting = false;
   for (char c : field) {

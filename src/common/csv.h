@@ -1,6 +1,7 @@
 #ifndef P2PDT_COMMON_CSV_H_
 #define P2PDT_COMMON_CSV_H_
 
+#include <cstdint>
 #include <string>
 #include <vector>
 
@@ -40,6 +41,9 @@ class CsvWriter {
 
 /// Formats a numeric field the way every CSV here does: %.6g.
 std::string CsvNumber(double v);
+
+/// Formats a 64-bit fingerprint field: 16 lower-case hex digits.
+std::string CsvHex(uint64_t v);
 
 /// Escapes one CSV field per RFC 4180 (quotes only when needed).
 std::string CsvEscape(const std::string& field);

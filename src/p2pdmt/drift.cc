@@ -4,9 +4,10 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <map>
+#include <sstream>
 
-#include "common/logging.h"
+#include "common/fnv.h"
 
 namespace p2pdt {
 
@@ -25,24 +26,6 @@ const char* RetrainPolicyToString(RetrainPolicy p) {
 }
 
 namespace {
-
-/// Order-sensitive FNV-1a over 64-bit words: the bit-identity digest. Two
-/// runs with equal digests observed the same per-epoch quality bits and the
-/// same simulated traffic counts.
-struct Fnv64 {
-  uint64_t state = 0xcbf29ce484222325ull;
-  void Mix(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      state ^= (v >> (8 * i)) & 0xFF;
-      state *= 0x100000001b3ull;
-    }
-  }
-  void MixDouble(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Mix(bits);
-  }
-};
 
 /// The correctness grade the staleness tracker is fed: Jaccard overlap of
 /// the auto-tags with the user's tags (both empty = perfect match). A
@@ -97,7 +80,7 @@ Result<DriftExperimentResult> RunDriftExperiment(
   }
 
   DriftExperimentResult result;
-  result.algorithm = AlgorithmTypeToString(options.algorithm);
+  result.algorithm = AlgorithmTypeToString(options.experiment.algorithm);
   result.policy = RetrainPolicyToString(options.policy);
   result.num_peers = num_peers;
   result.num_epochs = stream.num_epochs;
@@ -127,19 +110,15 @@ Result<DriftExperimentResult> RunDriftExperiment(
   }
 
   // Environment + classifier. Each simulated user is one peer.
-  ExperimentOptions algo_options;
-  algo_options.algorithm = options.algorithm;
-  algo_options.env = options.env;
-  algo_options.env.num_peers = num_peers;
-  algo_options.cempar = options.cempar;
-  algo_options.pace = options.pace;
+  ExperimentOptions experiment = options.experiment;
+  experiment.env.num_peers = num_peers;
   std::vector<DatasetShard> shards;
   shards.reserve(num_peers);
   for (std::size_t p = 0; p < num_peers; ++p) {
     shards.emplace_back(shared, window[p]);
   }
   Result<ClassifierNetwork> network =
-      SetUpNetwork(algo_options, std::move(shards), num_tags);
+      SetUpNetwork(experiment, std::move(shards), num_tags);
   if (!network.ok()) return network.status();
   Environment& env = *network->env;
   P2PClassifier& algo = *network->algo;
@@ -149,7 +128,7 @@ Result<DriftExperimentResult> RunDriftExperiment(
                                       " does not support online refresh");
   }
   Result<double> train_sim_seconds =
-      TrainToQuiescence(env, algo, options.max_train_sim_seconds);
+      TrainToQuiescence(env, algo, experiment.max_train_sim_seconds);
   if (!train_sim_seconds.ok()) return train_sim_seconds.status();
   result.train_sim_seconds = train_sim_seconds.value();
 
@@ -361,17 +340,8 @@ Result<DriftExperimentResult> RunDriftExperiment(
   result.give_ups = net_stats.give_ups();
   result.total_messages = net_stats.messages_sent();
   result.total_bytes = net_stats.bytes_sent();
-  ReliableTransport* transport = nullptr;
-  if (auto* pace = dynamic_cast<Pace*>(&algo)) {
-    transport = pace->transport();
-  } else if (auto* cempar = dynamic_cast<Cempar*>(&algo)) {
-    transport = cempar->transport();
-  }
-  if (transport != nullptr) {
-    for (NodeId n = 0; n < env.net().num_nodes(); ++n) {
-      if (transport->IsSuspected(n)) ++result.suspected_peers;
-    }
-  }
+  result.suspected_peers =
+      InternalsOf(algo).SuspectedPeers(env.net().num_nodes());
   digest.Mix(result.retrains);
   digest.Mix(result.total_messages);
   digest.Mix(result.total_bytes);
@@ -435,94 +405,77 @@ Result<std::vector<DriftEvent>> ScenarioEvents(const std::string& scenario,
   return Status::InvalidArgument("unknown drift scenario: " + scenario);
 }
 
-namespace {
-
-DriftRow MakeRow(const DriftExperimentResult& r, const std::string& scenario,
-                 double loss_rate, bool churn) {
-  DriftRow row;
-  row.algorithm = r.algorithm;
-  row.scenario = scenario;
-  row.policy = r.policy;
-  row.loss_rate = loss_rate;
-  row.churn = churn;
-  row.num_epochs = r.num_epochs;
-  row.first_drift_epoch = r.first_drift_epoch;
-  row.pre_drift_f1 = r.pre_drift_f1;
-  row.min_post_drift_f1 = r.min_post_drift_f1;
-  row.final_f1 = r.final_f1;
-  row.max_dip = r.max_dip;
-  row.recovery_epochs = r.recovery_epochs;
-  row.reconverged = r.reconverged;
-  row.retrains = r.retrains;
-  row.drift_detections = r.drift_detections;
-  row.give_ups = r.give_ups;
-  row.suspected_peers = r.suspected_peers;
-  row.total_messages = r.total_messages;
-  row.total_bytes = r.total_bytes;
-  row.fingerprint = r.fingerprint;
-  return row;
+std::string DriftPoint::Name() const {
+  const EnvironmentOptions& env = options.experiment.env;
+  std::ostringstream name;
+  name << AlgorithmTypeToString(options.experiment.algorithm)
+       << " scenario=" << scenario
+       << " policy=" << RetrainPolicyToString(options.policy)
+       << " loss=" << env.physical.loss_rate
+       << " churn=" << ChurnTypeToString(env.churn);
+  return name.str();
 }
 
-bool RunPoint(const VectorizedStream& stream, const DriftSweepOptions& options,
-              const std::string& scenario, AlgorithmType algo,
-              RetrainPolicy policy, double loss_rate, bool churn,
-              std::vector<DriftRow>& rows) {
-  DriftExperimentOptions opt = options.base;
-  opt.algorithm = algo;
-  opt.policy = policy;
-  opt.env.physical.loss_rate = loss_rate;
-  opt.env.churn = churn ? ChurnType::kExponential : ChurnType::kNone;
-  Result<DriftExperimentResult> r = RunDriftExperiment(stream, opt);
-  if (!r.ok()) {
-    P2PDT_LOG(Warning) << AlgorithmTypeToString(algo) << " scenario="
-                       << scenario << " policy="
-                       << RetrainPolicyToString(policy) << " loss="
-                       << loss_rate << " churn=" << churn
-                       << " failed: " << r.status().ToString();
-    return false;
-  }
-  rows.push_back(MakeRow(*r, scenario, loss_rate, churn));
-  if (options.on_point) options.on_point(rows.back());
-  return true;
-}
-
-}  // namespace
-
-Result<std::vector<DriftRow>> RunDriftSweep(const DriftSweepOptions& options) {
-  std::vector<DriftRow> rows;
-  StreamOptions stream_options = options.stream;
-  if (stream_options.reserve_tags == 0) stream_options.reserve_tags = 1;
+std::vector<DriftPoint> DriftGrid(const DriftExperimentOptions& base,
+                                  const std::vector<AlgorithmType>& algorithms,
+                                  const std::vector<std::string>& scenarios,
+                                  const std::vector<RetrainPolicy>& policies,
+                                  const std::vector<double>& loss_rates,
+                                  bool churn_arm) {
   const double max_loss =
-      options.loss_rates.empty()
+      loss_rates.empty()
           ? 0.0
-          : *std::max_element(options.loss_rates.begin(),
-                              options.loss_rates.end());
-
-  for (const std::string& scenario : options.scenarios) {
-    Result<std::vector<DriftEvent>> events =
-        ScenarioEvents(scenario, stream_options);
-    if (!events.ok()) return events.status();
-    StreamOptions st = stream_options;
-    st.events = std::move(events).value();
-    Result<VectorizedStream> stream = MakeVectorizedStream(st);
-    if (!stream.ok()) return stream.status();
-
-    for (AlgorithmType algo : options.algorithms) {
-      for (double loss : options.loss_rates) {
-        for (RetrainPolicy policy : options.policies) {
-          RunPoint(stream.value(), options, scenario, algo, policy, loss,
-                   /*churn=*/false, rows);
+          : *std::max_element(loss_rates.begin(), loss_rates.end());
+  std::vector<DriftPoint> points;
+  auto add = [&](const std::string& scenario, AlgorithmType algo,
+                 RetrainPolicy policy, double loss_rate, ChurnType churn) {
+    DriftPoint point{base, scenario};
+    point.options.experiment.algorithm = algo;
+    point.options.experiment.env.physical.loss_rate = loss_rate;
+    point.options.experiment.env.churn = churn;
+    point.options.policy = policy;
+    points.push_back(std::move(point));
+  };
+  for (const std::string& scenario : scenarios) {
+    for (AlgorithmType algo : algorithms) {
+      for (double loss : loss_rates) {
+        for (RetrainPolicy policy : policies) {
+          add(scenario, algo, policy, loss, ChurnType::kNone);
         }
       }
-      if (options.churn_arm && scenario == "sudden_vocab") {
-        for (RetrainPolicy policy : options.policies) {
-          RunPoint(stream.value(), options, scenario, algo, policy, max_loss,
-                   /*churn=*/true, rows);
+      if (churn_arm && scenario == "sudden_vocab") {
+        for (RetrainPolicy policy : policies) {
+          add(scenario, algo, policy, max_loss, ChurnType::kExponential);
         }
       }
     }
   }
-  return rows;
+  return points;
+}
+
+Result<DriftSweep> RunDriftSweep(
+    const StreamOptions& stream, const std::vector<DriftPoint>& points,
+    const std::function<void(const DriftRow&)>& on_point) {
+  StreamOptions stream_options = stream;
+  if (stream_options.reserve_tags == 0) stream_options.reserve_tags = 1;
+  std::map<std::string, VectorizedStream> streams;
+  for (const DriftPoint& point : points) {
+    if (streams.count(point.scenario) != 0) continue;
+    Result<std::vector<DriftEvent>> events =
+        ScenarioEvents(point.scenario, stream_options);
+    if (!events.ok()) return events.status();
+    StreamOptions st = stream_options;
+    st.events = std::move(events).value();
+    Result<VectorizedStream> generated = MakeVectorizedStream(st);
+    if (!generated.ok()) return generated.status();
+    streams.emplace(point.scenario, std::move(generated).value());
+  }
+  return RunSweepLoop<DriftPoint, DriftExperimentResult>(
+      points,
+      [&streams](const DriftPoint& point) {
+        return RunDriftExperiment(streams.at(point.scenario), point.options);
+      },
+      on_point);
 }
 
 CsvWriter DriftCsv(const std::vector<DriftRow>& rows) {
@@ -532,26 +485,20 @@ CsvWriter DriftCsv(const std::vector<DriftRow>& rows) {
                  "reconverged", "retrains", "drift_detections", "give_ups",
                  "suspected_peers", "total_messages", "total_bytes",
                  "fingerprint"});
-  char buf[32];
-  auto hex = [&buf](uint64_t v) {
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-  };
-  for (const DriftRow& row : rows) {
-    csv.AddRow({row.algorithm, row.scenario, row.policy,
-                CsvNumber(row.loss_rate), row.churn ? "1" : "0",
-                std::to_string(row.num_epochs),
-                std::to_string(row.first_drift_epoch),
-                CsvNumber(row.pre_drift_f1),
-                CsvNumber(row.min_post_drift_f1), CsvNumber(row.final_f1),
-                CsvNumber(row.max_dip), std::to_string(row.recovery_epochs),
-                row.reconverged ? "1" : "0", std::to_string(row.retrains),
-                std::to_string(row.drift_detections),
-                std::to_string(row.give_ups),
-                std::to_string(row.suspected_peers),
-                std::to_string(row.total_messages),
-                std::to_string(row.total_bytes), hex(row.fingerprint)});
+  for (const auto& [point, r] : rows) {
+    const EnvironmentOptions& env = point.options.experiment.env;
+    csv.AddRow({r.algorithm, point.scenario, r.policy,
+                CsvNumber(env.physical.loss_rate),
+                env.churn != ChurnType::kNone ? "1" : "0",
+                std::to_string(r.num_epochs),
+                std::to_string(r.first_drift_epoch),
+                CsvNumber(r.pre_drift_f1), CsvNumber(r.min_post_drift_f1),
+                CsvNumber(r.final_f1), CsvNumber(r.max_dip),
+                std::to_string(r.recovery_epochs), r.reconverged ? "1" : "0",
+                std::to_string(r.retrains), std::to_string(r.drift_detections),
+                std::to_string(r.give_ups), std::to_string(r.suspected_peers),
+                std::to_string(r.total_messages),
+                std::to_string(r.total_bytes), CsvHex(r.fingerprint)});
   }
   return csv;
 }

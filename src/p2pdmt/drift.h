@@ -35,12 +35,11 @@ const char* RetrainPolicyToString(RetrainPolicy p);
 /// epoch by epoch, auto-tag every arriving document through the live P2P
 /// protocol, track per-peer staleness, and retrain per `policy`.
 struct DriftExperimentOptions {
-  AlgorithmType algorithm = AlgorithmType::kPace;
-  /// Environment template. num_peers is overridden to the stream's user
-  /// count — each simulated user is one peer.
-  EnvironmentOptions env;
-  CemparOptions cempar;
-  PaceOptions pace;
+  /// Network, protocol and training settings (SetUpNetwork,
+  /// TrainToQuiescence). env.num_peers is overridden to the stream's user
+  /// count — each simulated user is one peer; the stream's epochs replace
+  /// the split, distribution and evaluation settings.
+  ExperimentOptions experiment;
 
   RetrainPolicy policy = RetrainPolicy::kFrozen;
   StalenessOptions staleness;
@@ -55,8 +54,6 @@ struct DriftExperimentOptions {
   double recovery_margin = 0.02;
   /// Simulated-time budget for each epoch's prediction + refresh traffic.
   double max_epoch_sim_seconds = 3600.0;
-  /// Budget for the initial training protocol.
-  double max_train_sim_seconds = 3600.0;
 };
 
 /// Quality and cost of one streamed epoch.
@@ -132,60 +129,39 @@ Result<DriftExperimentResult> RunDriftExperiment(
 Result<std::vector<DriftEvent>> ScenarioEvents(const std::string& scenario,
                                                const StreamOptions& stream);
 
-/// One grid point of the drift sweep, flattened for the CSV.
-struct DriftRow {
-  std::string algorithm;
-  std::string scenario;
-  std::string policy;
-  double loss_rate = 0.0;
-  bool churn = false;
+/// One point of the drift sweep: the run's options plus the scenario its
+/// stream is generated with (see ScenarioEvents).
+struct DriftPoint {
+  DriftExperimentOptions options;
+  std::string scenario = "none";
 
-  std::size_t num_epochs = 0;
-  std::size_t first_drift_epoch = 0;
-  double pre_drift_f1 = 0.0;
-  double min_post_drift_f1 = 0.0;
-  double final_f1 = 0.0;
-  double max_dip = 0.0;
-  std::size_t recovery_epochs = 0;
-  bool reconverged = true;
-  uint64_t retrains = 0;
-  uint64_t drift_detections = 0;
-  uint64_t give_ups = 0;
-  uint64_t suspected_peers = 0;
-  uint64_t total_messages = 0;
-  uint64_t total_bytes = 0;
-  uint64_t fingerprint = 0;
+  std::string Name() const;
 };
 
-struct DriftSweepOptions {
-  /// Stream template; events are overridden per scenario (reserve_tags is
-  /// forced to >= 1 so the "new_tag" scenario is always valid).
-  StreamOptions stream;
-  /// Template for every run; algorithm / policy / loss / churn overridden
-  /// per grid point.
-  DriftExperimentOptions base;
-  std::vector<AlgorithmType> algorithms = {AlgorithmType::kPace,
-                                           AlgorithmType::kCempar};
-  std::vector<std::string> scenarios = {"none", "sudden_vocab",
-                                        "gradual_rotation", "popularity_spike",
-                                        "new_tag"};
-  std::vector<RetrainPolicy> policies = {RetrainPolicy::kFrozen,
-                                         RetrainPolicy::kPeriodic,
-                                         RetrainPolicy::kStalenessTriggered,
-                                         RetrainPolicy::kDriftTriggered};
-  std::vector<double> loss_rates = {0.0, 0.2};
-  /// Adds a churn-on arm (exponential churn, every policy) at the headline
-  /// scenario ("sudden_vocab") and the highest loss rate.
-  bool churn_arm = true;
-  /// Invoked after every completed point (progress reporting); may be null.
-  std::function<void(const DriftRow&)> on_point;
-};
+using DriftRow = SweepRowOf<DriftPoint, DriftExperimentResult>;
+using DriftSweep = SweepResultOf<DriftPoint, DriftExperimentResult>;
 
-/// Runs the grid: scenarios × algorithms × policies × loss rates, plus the
-/// optional churn arm. Failed runs are skipped with a warning.
-Result<std::vector<DriftRow>> RunDriftSweep(const DriftSweepOptions& options);
+/// The drift grid, each point a copy of `base`: scenarios × algorithms ×
+/// loss rates × policies, plus — with `churn_arm` — every policy under
+/// exponential churn at the headline scenario ("sudden_vocab") and the
+/// highest loss rate.
+std::vector<DriftPoint> DriftGrid(const DriftExperimentOptions& base,
+                                  const std::vector<AlgorithmType>& algorithms,
+                                  const std::vector<std::string>& scenarios,
+                                  const std::vector<RetrainPolicy>& policies,
+                                  const std::vector<double>& loss_rates,
+                                  bool churn_arm);
 
-/// Flattens sweep rows into the CSV schema bench_drift writes
+/// Runs every point through RunDriftExperiment on RunSweepLoop, over the
+/// stream `stream` yields with the point's scenario events (one stream per
+/// scenario, shared by its points; reserve_tags is forced to >= 1 so the
+/// "new_tag" scenario is always valid). Fails only when a scenario's stream
+/// cannot be built.
+Result<DriftSweep> RunDriftSweep(
+    const StreamOptions& stream, const std::vector<DriftPoint>& points,
+    const std::function<void(const DriftRow&)>& on_point);
+
+/// Flattens completed drift points into the CSV schema bench_drift writes
 /// (bench_results/drift.csv).
 CsvWriter DriftCsv(const std::vector<DriftRow>& rows);
 

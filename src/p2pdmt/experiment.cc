@@ -62,6 +62,62 @@ CorpusSplit SplitCorpus(const VectorizedCorpus& corpus, double train_fraction,
   return split;
 }
 
+Result<StoodUpNetwork> StandUpNetwork(const VectorizedCorpus& corpus,
+                                      const ExperimentOptions& options) {
+  CorpusSplit split =
+      SplitCorpus(corpus, options.train_fraction, options.seed);
+  StoodUpNetwork stood_up;
+  stood_up.train_documents = split.train.size();
+  stood_up.test = std::move(split.test);
+  // The training corpus becomes one shared immutable block; every peer gets
+  // a flyweight index view into it.
+  Result<std::vector<DatasetShard>> peers = DistributeDataShared(
+      std::make_shared<const MultiLabelDataset>(std::move(split.train)),
+      options.env.num_peers, options.distribution, &split.train_user);
+  if (!peers.ok()) return peers.status();
+  stood_up.distribution =
+      SummarizeDistribution(peers.value(), corpus.dataset.num_tags());
+  Result<ClassifierNetwork> network = SetUpNetwork(
+      options, std::move(peers).value(), corpus.dataset.num_tags());
+  if (!network.ok()) return network.status();
+  stood_up.network = std::move(network).value();
+  return stood_up;
+}
+
+std::vector<const SparseVector*> RequestCatalog(const MultiLabelDataset& test,
+                                                std::size_t max_docs) {
+  const std::size_t size =
+      max_docs == 0 ? test.size() : std::min(max_docs, test.size());
+  std::vector<const SparseVector*> docs;
+  docs.reserve(size);
+  for (std::size_t i = 0; i < size; ++i) docs.push_back(&test[i].x);
+  return docs;
+}
+
+ProtocolInternals InternalsOf(P2PClassifier& algo) {
+  ProtocolInternals internals;
+  if (auto* pace = dynamic_cast<Pace*>(&algo)) {
+    internals.transport = pace->transport();
+    internals.serve_queue = pace->serve_queue();
+    internals.predict_cache = pace->predict_cache();
+    internals.pace = pace;
+  } else if (auto* cempar = dynamic_cast<Cempar*>(&algo)) {
+    internals.transport = cempar->transport();
+    internals.serve_queue = cempar->serve_queue();
+    internals.predict_cache = cempar->predict_cache();
+  }
+  return internals;
+}
+
+uint64_t ProtocolInternals::SuspectedPeers(std::size_t num_nodes) const {
+  uint64_t suspected = 0;
+  if (transport == nullptr) return suspected;
+  for (NodeId n = 0; n < num_nodes; ++n) {
+    if (transport->IsSuspected(n)) ++suspected;
+  }
+  return suspected;
+}
+
 Result<std::unique_ptr<P2PClassifier>> MakeClassifier(
     Environment& env, const ExperimentOptions& options) {
   switch (options.algorithm) {
@@ -238,27 +294,14 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   result.churn = ChurnTypeToString(options.env.churn);
   result.num_peers = options.env.num_peers;
 
-  // 1. Split and distribute.
-  CorpusSplit split =
-      SplitCorpus(corpus, options.train_fraction, options.seed);
-  result.train_documents = split.train.size();
-  // The training corpus becomes one shared immutable block; every peer gets
-  // a flyweight index view into it.
-  auto train_corpus =
-      std::make_shared<const MultiLabelDataset>(std::move(split.train));
-  Result<std::vector<DatasetShard>> peers = DistributeDataShared(
-      train_corpus, options.env.num_peers, options.distribution,
-      &split.train_user);
-  if (!peers.ok()) return peers.status();
-  result.distribution =
-      SummarizeDistribution(peers.value(), corpus.dataset.num_tags());
-
-  // 2. Environment + algorithm.
-  Result<ClassifierNetwork> network = SetUpNetwork(
-      options, std::move(peers).value(), corpus.dataset.num_tags());
-  if (!network.ok()) return network.status();
-  Environment& env = *network->env;
-  P2PClassifier& algo = *network->algo;
+  // 1-2. Split, distribute, environment + algorithm.
+  Result<StoodUpNetwork> stood_up = StandUpNetwork(corpus, options);
+  if (!stood_up.ok()) return stood_up.status();
+  result.train_documents = stood_up->train_documents;
+  result.distribution = stood_up->distribution;
+  const MultiLabelDataset& test = stood_up->test;
+  Environment& env = *stood_up->network.env;
+  P2PClassifier& algo = *stood_up->network.algo;
   if (options.warmup_sim_seconds > 0.0) {
     env.sim().RunUntil(env.sim().Now() + options.warmup_sim_seconds);
   }
@@ -326,7 +369,7 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   if (env.profiler() != nullptr) env.profiler()->SetPhase("predict");
   CostCounts before_predict_cost = CostLedger::Collect();
   Rng eval_rng(options.seed ^ 0xE7A1);
-  std::vector<std::size_t> test_idx(split.test.size());
+  std::vector<std::size_t> test_idx(test.size());
   std::iota(test_idx.begin(), test_idx.end(), 0);
   eval_rng.Shuffle(test_idx);
   if (options.max_test_documents > 0 &&
@@ -372,7 +415,7 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   };
 
   for (std::size_t i = 0; i < test_idx.size(); ++i) {
-    const MultiLabelExample& ex = split.test[test_idx[i]];
+    const MultiLabelExample& ex = test[test_idx[i]];
     truth[i] = ex.tags;
     NodeId requester = pick_requester();
     algo.Predict(requester, ex.x, [&, i](P2PPrediction p) {
@@ -409,17 +452,10 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   result.retransmits = stats.retransmits();
   result.acks_received = stats.acks_received();
   result.give_ups = stats.give_ups();
-  ReliableTransport* transport = nullptr;
-  if (auto* pace = dynamic_cast<Pace*>(&algo)) {
-    result.model_coverage = pace->ModelCoverage();
-    transport = pace->transport();
-  } else if (auto* cempar = dynamic_cast<Cempar*>(&algo)) {
-    transport = cempar->transport();
-  }
-  if (transport != nullptr) {
-    for (NodeId n = 0; n < env.net().num_nodes(); ++n) {
-      if (transport->IsSuspected(n)) ++result.suspected_peers;
-    }
+  const ProtocolInternals internals = InternalsOf(algo);
+  result.suspected_peers = internals.SuspectedPeers(env.net().num_nodes());
+  if (internals.pace != nullptr) {
+    result.model_coverage = internals.pace->ModelCoverage();
   }
   const DefenseStats defense = algo.defense_stats();
   result.models_rejected = defense.models_rejected;
@@ -494,16 +530,13 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   return result;
 }
 
-namespace {
-
-std::string SweepPointName(const SweepPoint& point) {
-  const ExperimentOptions& o = point.options;
+std::string SweepPoint::Name() const {
+  const ExperimentOptions& o = options;
   std::ostringstream name;
-  name << AlgorithmTypeToString(o.algorithm) << " plan=" << point.plan
+  name << AlgorithmTypeToString(o.algorithm) << " plan=" << plan
        << " loss=" << o.env.physical.loss_rate
        << " reliable=" << o.cempar.reliable_transport
-       << " adversary=" << point.adversary
-       << " fraction=" << point.malicious_fraction
+       << " adversary=" << adversary << " fraction=" << malicious_fraction
        << " defended=" << o.cempar.sanitize.enabled
        << " churn=" << ChurnTypeToString(o.env.churn) << " recovery="
        << (!o.recovery.enabled ? "off"
@@ -512,25 +545,15 @@ std::string SweepPointName(const SweepPoint& point) {
   return name.str();
 }
 
-}  // namespace
-
 SweepResult RunSweep(const VectorizedCorpus& corpus,
                      const std::vector<SweepPoint>& points,
                      const std::function<void(const SweepRow&)>& on_point) {
-  SweepResult sweep;
-  for (const SweepPoint& point : points) {
-    Result<ExperimentResult> r = RunExperiment(corpus, point.options);
-    if (!r.ok()) {
-      std::string failure =
-          SweepPointName(point) + " failed: " + r.status().ToString();
-      P2PDT_LOG(Warning) << failure;
-      sweep.failed.push_back(std::move(failure));
-      continue;
-    }
-    sweep.rows.push_back({point, std::move(r).value()});
-    if (on_point) on_point(sweep.rows.back());
-  }
-  return sweep;
+  return RunSweepLoop<SweepPoint, ExperimentResult>(
+      points,
+      [&corpus](const SweepPoint& point) {
+        return RunExperiment(corpus, point.options);
+      },
+      on_point);
 }
 
 std::string ExperimentResult::ToString() const {

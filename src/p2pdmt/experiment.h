@@ -7,6 +7,7 @@
 #include <vector>
 
 #include "common/cost_ledger.h"
+#include "common/logging.h"
 #include "common/status.h"
 #include "corpus/vectorize.h"
 #include "ml/metrics.h"
@@ -200,9 +201,50 @@ struct ExperimentResult {
 Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
                                        const ExperimentOptions& options);
 
-/// One point of a parameter sweep: the options to run plus the labels the
-/// options cannot reproduce (a fault plan or adversary set is data, not a
-/// name).
+/// A completed sweep point: what ran and what it produced.
+template <typename Point, typename Outcome>
+struct SweepRowOf {
+  Point point;
+  Outcome result;
+};
+
+/// What a sweep produced: one row per completed point, in grid order, and
+/// the name (with its error) of every point that failed.
+template <typename Point, typename Outcome>
+struct SweepResultOf {
+  std::vector<SweepRowOf<Point, Outcome>> rows;
+  std::vector<std::string> failed;
+};
+
+/// P2PDMT's "set parameters → run → collect statistics" loop, the one every
+/// sweep runs on: runs each point in order through `run`. A failed point is
+/// skipped with a warning and named (`Point::Name()` plus its error) in
+/// `failed` rather than aborting the sweep. `on_point` (may be null) is
+/// invoked after every completed point, for progress.
+template <typename Point, typename Outcome>
+SweepResultOf<Point, Outcome> RunSweepLoop(
+    const std::vector<Point>& points,
+    const std::function<Result<Outcome>(const Point&)>& run,
+    const std::function<void(const SweepRowOf<Point, Outcome>&)>& on_point) {
+  SweepResultOf<Point, Outcome> sweep;
+  for (const Point& point : points) {
+    Result<Outcome> r = run(point);
+    if (!r.ok()) {
+      std::string failure =
+          point.Name() + " failed: " + r.status().ToString();
+      P2PDT_LOG(Warning) << failure;
+      sweep.failed.push_back(std::move(failure));
+      continue;
+    }
+    sweep.rows.push_back({point, std::move(r).value()});
+    if (on_point) on_point(sweep.rows.back());
+  }
+  return sweep;
+}
+
+/// One point of a RunExperiment sweep: the options to run plus the labels
+/// the options cannot reproduce (a fault plan or adversary set is data, not
+/// a name).
 struct SweepPoint {
   ExperimentOptions options;
   /// Fault-plan name ("none" when no plan is injected).
@@ -211,25 +253,14 @@ struct SweepPoint {
   std::string adversary = "none";
   /// Requested malicious fraction; the plan rounds it to whole peers.
   double malicious_fraction = 0.0;
+
+  std::string Name() const;
 };
 
-/// A completed sweep point: what ran and what it produced.
-struct SweepRow {
-  SweepPoint point;
-  ExperimentResult result;
-};
+using SweepRow = SweepRowOf<SweepPoint, ExperimentResult>;
+using SweepResult = SweepResultOf<SweepPoint, ExperimentResult>;
 
-/// What a sweep produced: one row per completed point, in grid order, and
-/// the name (with its error) of every point that failed.
-struct SweepResult {
-  std::vector<SweepRow> rows;
-  std::vector<std::string> failed;
-};
-
-/// P2PDMT's "set parameters → run → collect statistics" loop: runs every
-/// point in order through RunExperiment. A failed point is skipped with a
-/// warning and named in `failed` rather than aborting the sweep. `on_point`
-/// (may be null) is invoked after every completed point, for progress.
+/// Runs every point through RunExperiment on RunSweepLoop.
 SweepResult RunSweep(const VectorizedCorpus& corpus,
                      const std::vector<SweepPoint>& points,
                      const std::function<void(const SweepRow&)>& on_point);
@@ -268,6 +299,43 @@ struct CorpusSplit {
 };
 CorpusSplit SplitCorpus(const VectorizedCorpus& corpus, double train_fraction,
                         uint64_t seed);
+
+/// A network stood up from a corpus, not yet trained.
+struct StoodUpNetwork {
+  ClassifierNetwork network;
+  /// The held-out half of the split, in split order.
+  MultiLabelDataset test;
+  std::size_t train_documents = 0;
+  DistributionSummary distribution;
+};
+
+/// P2PDMT's "set parameters" step, shared by every corpus harness: splits
+/// `corpus` (SplitCorpus with options.train_fraction and options.seed),
+/// distributes the training half over options.env.num_peers peers
+/// (DistributeDataShared) and stands the network up on it (SetUpNetwork).
+Result<StoodUpNetwork> StandUpNetwork(const VectorizedCorpus& corpus,
+                                      const ExperimentOptions& options);
+
+/// The first `max_docs` documents of `test` (all of them when 0), in split
+/// order: the popularity-ordered request catalog the overload and service
+/// harnesses replay. The pointers view `test`.
+std::vector<const SparseVector*> RequestCatalog(const MultiLabelDataset& test,
+                                                std::size_t max_docs);
+
+/// Read-only views of the protocol machinery the harnesses report on; each
+/// is null where the classifier has none (only CEMPaR and PACE have any).
+struct ProtocolInternals {
+  const ReliableTransport* transport = nullptr;
+  const ServeQueueSet* serve_queue = nullptr;
+  const PredictCacheSet* predict_cache = nullptr;
+  /// Set for PACE, whose model coverage the experiment reports.
+  const Pace* pace = nullptr;
+
+  /// Peers in [0, num_nodes) the reliable transport suspects dead; 0
+  /// without a transport (fire-and-forget).
+  uint64_t SuspectedPeers(std::size_t num_nodes) const;
+};
+ProtocolInternals InternalsOf(P2PClassifier& algo);
 
 }  // namespace p2pdt
 

@@ -1,94 +1,37 @@
 #include "p2pdmt/overload.h"
 
 #include <algorithm>
-#include <cstdio>
-#include <cstring>
-#include <memory>
+#include <sstream>
 #include <utility>
 
-#include "common/logging.h"
+#include "common/fnv.h"
 
 namespace p2pdt {
 
-namespace {
-
-struct Fnv64 {
-  uint64_t state = 0xcbf29ce484222325ull;
-  void Mix(uint64_t v) {
-    for (int i = 0; i < 8; ++i) {
-      state ^= (v >> (8 * i)) & 0xFF;
-      state *= 0x100000001b3ull;
-    }
-  }
-  void MixDouble(double v) {
-    uint64_t bits = 0;
-    std::memcpy(&bits, &v, sizeof(bits));
-    Mix(bits);
-  }
-};
-
-struct ClassifierLedgers {
-  const ServeQueueSet* serve = nullptr;
-  const PredictCacheSet* cache = nullptr;
-};
-
-ClassifierLedgers Ledgers(P2PClassifier& algo) {
-  ClassifierLedgers l;
-  if (auto* pace = dynamic_cast<Pace*>(&algo)) {
-    l.serve = pace->serve_queue();
-    l.cache = pace->predict_cache();
-  } else if (auto* cempar = dynamic_cast<Cempar*>(&algo)) {
-    l.serve = cempar->serve_queue();
-    l.cache = cempar->predict_cache();
-  }
-  return l;
-}
-
-}  // namespace
-
 Result<OverloadRunStats> RunOverloadExperiment(
     const VectorizedCorpus& corpus, const OverloadExperimentOptions& options) {
-  CorpusSplit split =
-      SplitCorpus(corpus, options.train_fraction, options.seed);
-  if (split.train.size() == 0 || split.test.size() == 0) {
+  ExperimentOptions experiment = options.experiment;
+  experiment.env.observe.metrics = true;  // the SLO histogram lives here
+  Result<StoodUpNetwork> stood_up = StandUpNetwork(corpus, experiment);
+  if (!stood_up.ok()) return stood_up.status();
+  if (stood_up->train_documents == 0 || stood_up->test.size() == 0) {
     return Status::InvalidArgument(
         "overload harness needs non-empty train and test splits");
   }
-
-  ExperimentOptions algo_options;
-  algo_options.algorithm = options.algorithm;
-  algo_options.env = options.env;
-  algo_options.env.observe.metrics = true;  // the SLO histogram lives here
-  algo_options.cempar = options.cempar;
-  algo_options.pace = options.pace;
-  algo_options.sim_shards = options.sim_shards;
-  const std::size_t num_peers = options.env.num_peers;
-  Result<std::vector<DatasetShard>> shards = DistributeDataShared(
-      std::make_shared<const MultiLabelDataset>(std::move(split.train)),
-      num_peers,
-      options.distribution, &split.train_user);
-  if (!shards.ok()) return shards.status();
-  Result<ClassifierNetwork> network = SetUpNetwork(
-      algo_options, std::move(shards).value(), corpus.dataset.num_tags());
-  if (!network.ok()) return network.status();
-  Environment& env = *network->env;
-  P2PClassifier& algo = *network->algo;
+  Environment& env = *stood_up->network.env;
+  P2PClassifier& algo = *stood_up->network.algo;
 
   OverloadRunStats stats;
   Result<double> train_sim_seconds =
-      TrainToQuiescence(env, algo, options.max_train_sim_seconds);
+      TrainToQuiescence(env, algo, experiment.max_train_sim_seconds);
   if (!train_sim_seconds.ok()) return train_sim_seconds.status();
   stats.train_sim_seconds = train_sim_seconds.value();
 
-  // Request catalog in popularity order: test documents by index. The
-  // split must stay alive until the generator finishes — docs are views.
-  std::vector<const SparseVector*> docs;
-  const std::size_t catalog =
-      options.max_docs == 0
-          ? split.test.size()
-          : std::min(options.max_docs, split.test.size());
-  docs.reserve(catalog);
-  for (std::size_t i = 0; i < catalog; ++i) docs.push_back(&split.test[i].x);
+  // Request catalog in popularity order. The stood-up test split must stay
+  // alive until the generator finishes — docs are views.
+  const std::vector<const SparseVector*> docs =
+      RequestCatalog(stood_up->test, options.max_docs);
+  const std::size_t num_peers = experiment.env.num_peers;
   std::vector<NodeId> requesters(num_peers);
   for (std::size_t p = 0; p < num_peers; ++p) requesters[p] = p;
 
@@ -137,12 +80,14 @@ Result<OverloadRunStats> RunOverloadExperiment(
     stats.load.fingerprint = digest.state;
   }
 
-  ClassifierLedgers ledgers = Ledgers(algo);
-  if (ledgers.serve != nullptr) stats.requests_shed = ledgers.serve->shed();
-  if (ledgers.cache != nullptr) {
-    stats.cache_hits = ledgers.cache->hits();
-    stats.cache_misses = ledgers.cache->misses();
-    stats.cache_stale = ledgers.cache->stale();
+  const ProtocolInternals internals = InternalsOf(algo);
+  if (internals.serve_queue != nullptr) {
+    stats.requests_shed = internals.serve_queue->shed();
+  }
+  if (internals.predict_cache != nullptr) {
+    stats.cache_hits = internals.predict_cache->hits();
+    stats.cache_misses = internals.predict_cache->misses();
+    stats.cache_stale = internals.predict_cache->stale();
   }
   const NetworkStats& net_stats = env.net().stats();
   stats.give_ups = net_stats.give_ups();
@@ -150,70 +95,43 @@ Result<OverloadRunStats> RunOverloadExperiment(
   return stats;
 }
 
+std::string OverloadPoint::Name() const {
+  std::ostringstream name;
+  name << AlgorithmTypeToString(options.experiment.algorithm)
+       << " arm=" << arm << " burst=" << burst
+       << " rate=" << arrival_rate();
+  return name.str();
+}
+
 namespace {
 
-OverloadRow MakeRow(const OverloadRunStats& s, const std::string& algorithm,
-                    const std::string& arm, const std::string& burst,
-                    double arrival_rate, double burst_multiplier,
-                    double slo_s) {
-  OverloadRow row;
-  row.algorithm = algorithm;
-  row.arm = arm;
-  row.burst = burst;
-  row.arrival_rate = arrival_rate;
-  row.burst_multiplier = burst_multiplier;
-  row.offered = s.load.offered;
-  row.completed = s.load.completed;
-  row.ok = s.load.ok;
-  row.degraded = s.load.degraded;
-  row.cached = s.load.cached;
-  row.failed = s.load.failed;
-  row.shed = s.requests_shed;
-  row.retries = s.load.retries;
-  row.within_slo = s.load.within_slo;
-  row.goodput_within_slo = s.load.goodput_within_slo;
-  const uint64_t attempts = s.load.offered + s.load.retries;
-  row.shed_rate = attempts == 0 ? 0.0
-                                : static_cast<double>(s.requests_shed) /
-                                      static_cast<double>(attempts);
-  const uint64_t lookups = s.cache_hits + s.cache_misses + s.cache_stale;
-  row.cache_hit_rate = lookups == 0 ? 0.0
-                                    : static_cast<double>(s.cache_hits) /
-                                          static_cast<double>(lookups);
-  row.p50_s = s.load.p50_latency;
-  row.p95_s = s.load.p95_latency;
-  row.p99_s = s.load.p99_latency;
-  row.slo_s = slo_s;
-  row.give_ups = s.give_ups;
-  row.fingerprint = s.load.fingerprint;
-  return row;
-}
+/// Steady-state serving capacity over offered rate in every arm. Well above
+/// 1 the steady arm is healthy (service time is a small fraction of the
+/// SLO, so off-burst requests land within it even undefended); the flash
+/// multiplier then drives offered past capacity and only the defended arm
+/// keeps its goodput.
+constexpr double kCapacityHeadroom = 4.0;
 
 /// Applies one arm's configuration: serving capacity always on (finite
 /// machines are the physical reality both arms share); the defended arm
 /// adds admission control + load shedding, the prediction cache, CEMPaR
 /// request batching and the reliable transport's typed overload path.
 void ConfigureArm(OverloadExperimentOptions& opt, const std::string& arm,
-                  const OverloadSweepOptions& sweep, double arrival_rate) {
+                  double arrival_rate) {
+  ExperimentOptions& experiment = opt.experiment;
   const double sessions = static_cast<double>(
       std::max<std::size_t>(opt.loadgen.sessions, 1));
-  const double peers =
-      static_cast<double>(std::max<std::size_t>(opt.env.num_peers, 1));
+  const double peers = static_cast<double>(
+      std::max<std::size_t>(experiment.env.num_peers, 1));
   const double per_session_rate = arrival_rate / sessions;
   const double sessions_per_peer = std::max(1.0, sessions / peers);
-
-  double pace_rate = sweep.pace_service_rate;
-  if (pace_rate <= 0.0) {
-    pace_rate =
-        sweep.capacity_headroom * per_session_rate * sessions_per_peer;
-  }
-  double cempar_rate = sweep.cempar_service_rate;
-  if (cempar_rate <= 0.0) {
-    // CEMPaR concentrates requests on the documents' home super-peers;
-    // Zipf popularity puts most of the load on a handful of owners, so
-    // budget as if ~4 of them carry the aggregate rate.
-    cempar_rate = sweep.capacity_headroom * arrival_rate / 4.0;
-  }
+  // PACE serves predictions at the requester itself, so its budget is
+  // per session. CEMPaR concentrates requests on the documents' home
+  // super-peers; Zipf popularity puts most of the load on a handful of
+  // owners, so budget as if ~4 of them carry the aggregate rate.
+  const double pace_rate =
+      kCapacityHeadroom * per_session_rate * sessions_per_peer;
+  const double cempar_rate = kCapacityHeadroom * arrival_rate / 4.0;
 
   const bool defended = arm == "defended";
   auto configure = [&](ServeOptions& serve, double rate) {
@@ -223,96 +141,84 @@ void ConfigureArm(OverloadExperimentOptions& opt, const std::string& arm,
     serve.max_wait = 0.5 * opt.loadgen.slo_latency;
     serve.retry_after = 0.25 * opt.loadgen.slo_latency;
   };
-  configure(opt.pace.serve, pace_rate);
-  configure(opt.cempar.serve, cempar_rate);
+  configure(experiment.pace.serve, pace_rate);
+  configure(experiment.cempar.serve, cempar_rate);
 
-  opt.pace.predict_cache.enabled = defended;
-  opt.cempar.predict_cache.enabled = defended;
-  opt.cempar.batch_predictions = defended;
+  experiment.pace.predict_cache.enabled = defended;
+  experiment.cempar.predict_cache.enabled = defended;
+  experiment.cempar.batch_predictions = defended;
   if (defended) {
-    opt.cempar.reliable_transport = true;  // typed overload NACK path
+    experiment.cempar.reliable_transport = true;  // typed overload NACK path
   }
 }
 
 }  // namespace
 
-Result<std::vector<OverloadRow>> RunOverloadSweep(
-    const VectorizedCorpus& corpus, const OverloadSweepOptions& options) {
-  std::vector<OverloadRow> rows;
+std::vector<OverloadPoint> OverloadGrid(const OverloadExperimentOptions& base,
+                                        const std::vector<double>& arrival_rates,
+                                        double burst_multiplier) {
+  std::vector<OverloadPoint> points;
   const std::vector<std::string> arms = {"undefended", "defended"};
+  const std::vector<std::string> bursts = {"none", "flash"};
   const double first_rate =
-      options.arrival_rates.empty() ? 40.0 : options.arrival_rates.front();
+      arrival_rates.empty() ? 40.0 : arrival_rates.front();
 
-  for (AlgorithmType algorithm : options.algorithms) {
-    const std::string algo_name = AlgorithmTypeToString(algorithm);
-
+  for (AlgorithmType algorithm : {AlgorithmType::kPace, AlgorithmType::kCempar}) {
     // Disarmed bit-identity pair: both arm configurations with the load
     // generator off. The checker asserts their fingerprints match — idle
     // overload machinery changes no prediction.
     for (const std::string& arm : arms) {
-      OverloadExperimentOptions opt = options.base;
-      opt.algorithm = algorithm;
-      opt.loadgen.enabled = false;
-      ConfigureArm(opt, arm, options, first_rate);
-      Result<OverloadRunStats> r = RunOverloadExperiment(corpus, opt);
-      if (!r.ok()) {
-        P2PDT_LOG(Warning) << algo_name << " disarmed arm=" << arm
-                           << " failed: " << r.status().ToString();
-        continue;
-      }
-      rows.push_back(MakeRow(*r, algo_name, arm, "disarmed", 0.0, 1.0,
-                             opt.loadgen.slo_latency));
-      if (options.on_point) options.on_point(rows.back());
+      OverloadPoint point{base, arm, "disarmed"};
+      point.options.experiment.algorithm = algorithm;
+      point.options.loadgen.enabled = false;
+      ConfigureArm(point.options, arm, first_rate);
+      points.push_back(std::move(point));
     }
 
-    std::vector<std::string> bursts;
-    if (options.none_burst) bursts.push_back("none");
-    bursts.push_back("flash");
-
-    for (double rate : options.arrival_rates) {
+    for (double rate : arrival_rates) {
       for (const std::string& burst : bursts) {
         for (const std::string& arm : arms) {
-          OverloadExperimentOptions opt = options.base;
-          opt.algorithm = algorithm;
-          opt.loadgen.enabled = true;
-          opt.loadgen.arrival_rate = rate;
-          opt.loadgen.bursts.clear();
-          double mult = 1.0;
+          OverloadPoint point{base, arm, burst};
+          point.options.experiment.algorithm = algorithm;
+          LoadGenOptions& loadgen = point.options.loadgen;
+          loadgen.enabled = true;
+          loadgen.arrival_rate = rate;
+          loadgen.bursts.clear();
           if (burst == "flash") {
             // Burst placed inside the expected steady-state span of the
             // replay: mean session length over the per-session rate.
             const double sessions = static_cast<double>(
-                std::max<std::size_t>(opt.loadgen.sessions, 1));
+                std::max<std::size_t>(loadgen.sessions, 1));
             const double mean_docs =
-                0.5 * static_cast<double>(opt.loadgen.min_docs +
-                                          opt.loadgen.max_docs);
+                0.5 * static_cast<double>(loadgen.min_docs +
+                                          loadgen.max_docs);
             const double span = mean_docs / (rate / sessions);
             FlashCrowdBurst b;
             b.start = 0.3 * span;
             b.duration = 0.25 * span;
-            b.rate_multiplier = options.burst_multiplier;
+            b.rate_multiplier = burst_multiplier;
             b.hot_fraction = 0.9;
             b.hot_docs = 8;
-            opt.loadgen.bursts.push_back(b);
-            mult = options.burst_multiplier;
+            loadgen.bursts.push_back(b);
           }
-          ConfigureArm(opt, arm, options, rate);
-          Result<OverloadRunStats> r = RunOverloadExperiment(corpus, opt);
-          if (!r.ok()) {
-            P2PDT_LOG(Warning)
-                << algo_name << " arm=" << arm << " burst=" << burst
-                << " rate=" << rate
-                << " failed: " << r.status().ToString();
-            continue;
-          }
-          rows.push_back(MakeRow(*r, algo_name, arm, burst, rate, mult,
-                                 opt.loadgen.slo_latency));
-          if (options.on_point) options.on_point(rows.back());
+          ConfigureArm(point.options, arm, rate);
+          points.push_back(std::move(point));
         }
       }
     }
   }
-  return rows;
+  return points;
+}
+
+OverloadSweep RunOverloadSweep(
+    const VectorizedCorpus& corpus, const std::vector<OverloadPoint>& points,
+    const std::function<void(const OverloadRow&)>& on_point) {
+  return RunSweepLoop<OverloadPoint, OverloadRunStats>(
+      points,
+      [&corpus](const OverloadPoint& point) {
+        return RunOverloadExperiment(corpus, point.options);
+      },
+      on_point);
 }
 
 CsvWriter OverloadCsv(const std::vector<OverloadRow>& rows) {
@@ -321,24 +227,21 @@ CsvWriter OverloadCsv(const std::vector<OverloadRow>& rows) {
                  "cached", "failed", "shed", "retries", "within_slo",
                  "goodput_within_slo", "shed_rate", "cache_hit_rate", "p50_s",
                  "p95_s", "p99_s", "slo_s", "give_ups", "fingerprint"});
-  char buf[32];
-  auto hex = [&buf](uint64_t v) {
-    std::snprintf(buf, sizeof(buf), "%016llx",
-                  static_cast<unsigned long long>(v));
-    return std::string(buf);
-  };
-  for (const OverloadRow& row : rows) {
-    csv.AddRow({row.algorithm, row.arm, row.burst, CsvNumber(row.arrival_rate),
-                CsvNumber(row.burst_multiplier), std::to_string(row.offered),
-                std::to_string(row.completed), std::to_string(row.ok),
-                std::to_string(row.degraded), std::to_string(row.cached),
-                std::to_string(row.failed), std::to_string(row.shed),
-                std::to_string(row.retries), std::to_string(row.within_slo),
-                CsvNumber(row.goodput_within_slo), CsvNumber(row.shed_rate),
-                CsvNumber(row.cache_hit_rate), CsvNumber(row.p50_s),
-                CsvNumber(row.p95_s), CsvNumber(row.p99_s),
-                CsvNumber(row.slo_s), std::to_string(row.give_ups),
-                hex(row.fingerprint)});
+  for (const auto& [point, s] : rows) {
+    const LoadGenResult& load = s.load;
+    csv.AddRow({AlgorithmTypeToString(point.options.experiment.algorithm),
+                point.arm, point.burst, CsvNumber(point.arrival_rate()),
+                CsvNumber(point.burst_multiplier()),
+                std::to_string(load.offered), std::to_string(load.completed),
+                std::to_string(load.ok), std::to_string(load.degraded),
+                std::to_string(load.cached), std::to_string(load.failed),
+                std::to_string(s.requests_shed), std::to_string(load.retries),
+                std::to_string(load.within_slo),
+                CsvNumber(load.goodput_within_slo), CsvNumber(s.shed_rate()),
+                CsvNumber(s.cache_hit_rate()), CsvNumber(load.p50_latency),
+                CsvNumber(load.p95_latency), CsvNumber(load.p99_latency),
+                CsvNumber(point.options.loadgen.slo_latency),
+                std::to_string(s.give_ups), CsvHex(load.fingerprint)});
   }
   return csv;
 }

@@ -19,21 +19,14 @@ namespace p2pdt {
 /// prediction pass and fingerprints only the answers (tags + scores) — the
 /// witness that idle overload machinery changes no prediction.
 struct OverloadExperimentOptions {
-  AlgorithmType algorithm = AlgorithmType::kPace;
-  EnvironmentOptions env;
-  DataDistributionOptions distribution;
-  CemparOptions cempar;
-  PaceOptions pace;
+  /// Network, protocol, split and training settings (StandUpNetwork);
+  /// env.observe.metrics is forced on, since the SLO histogram lives there.
+  /// Armed load-generation results are bit-identical for every sim_shards.
+  ExperimentOptions experiment;
   LoadGenOptions loadgen;
-  double train_fraction = 0.2;
-  /// Forwarded into the classifier's sim_shards knob when non-zero; armed
-  /// load-generation results are bit-identical for every value.
-  std::size_t sim_shards = 0;
   /// Cap on the request catalog drawn from the test split (0 = all).
   std::size_t max_docs = 0;
-  double max_train_sim_seconds = 3600.0;
   double max_load_sim_seconds = 86400.0;
-  uint64_t seed = 777;
 };
 
 /// Load-generator outcome plus the server-side ledgers for the same run.
@@ -49,77 +42,76 @@ struct OverloadRunStats {
   /// NetworkStats drops recorded with DropReason::kOverloadShed.
   uint64_t overload_drops = 0;
   double train_sim_seconds = 0.0;
+
+  /// Sheds per request attempt (offered + retries).
+  double shed_rate() const {
+    const uint64_t attempts = load.offered + load.retries;
+    return attempts == 0 ? 0.0
+                         : static_cast<double>(requests_shed) /
+                               static_cast<double>(attempts);
+  }
+  /// hits / (hits + misses + stale) of the prediction cache; 0 when the
+  /// cache was disabled or never consulted.
+  double cache_hit_rate() const {
+    const uint64_t lookups = cache_hits + cache_misses + cache_stale;
+    return lookups == 0 ? 0.0
+                        : static_cast<double>(cache_hits) /
+                              static_cast<double>(lookups);
+  }
 };
 
 Result<OverloadRunStats> RunOverloadExperiment(
     const VectorizedCorpus& corpus, const OverloadExperimentOptions& options);
 
-/// One grid point of the overload sweep, flattened for the CSV.
-struct OverloadRow {
-  std::string algorithm;
-  std::string arm;    // "undefended" | "defended"
-  std::string burst;  // "none" | "flash" | "disarmed"
-  double arrival_rate = 0.0;
-  double burst_multiplier = 1.0;
-  uint64_t offered = 0;
-  uint64_t completed = 0;
-  uint64_t ok = 0;
-  uint64_t degraded = 0;
-  uint64_t cached = 0;
-  uint64_t failed = 0;
-  uint64_t shed = 0;
-  uint64_t retries = 0;
-  uint64_t within_slo = 0;
-  double goodput_within_slo = 0.0;
-  /// Sheds per request attempt (offered + retries).
-  double shed_rate = 0.0;
-  /// hits / (hits + misses + stale) of the prediction cache; 0 when the
-  /// cache was disabled or never consulted.
-  double cache_hit_rate = 0.0;
-  double p50_s = 0.0;
-  double p95_s = 0.0;
-  double p99_s = 0.0;
-  double slo_s = 0.0;
-  uint64_t give_ups = 0;
-  uint64_t fingerprint = 0;
+/// One point of the overload sweep: the run's options plus the labels they
+/// cannot reproduce.
+struct OverloadPoint {
+  OverloadExperimentOptions options;
+  /// "undefended" | "defended".
+  std::string arm = "undefended";
+  /// "none" | "flash" | "disarmed".
+  std::string burst = "none";
+
+  std::string Name() const;
+  /// Aggregate offered request rate; 0 when the generator is disarmed.
+  double arrival_rate() const {
+    return options.loadgen.enabled ? options.loadgen.arrival_rate : 0.0;
+  }
+  /// The flash crowd's rate multiplier; 1 without one.
+  double burst_multiplier() const {
+    return options.loadgen.enabled && !options.loadgen.bursts.empty()
+               ? options.loadgen.bursts.front().rate_multiplier
+               : 1.0;
+  }
 };
 
-struct OverloadSweepOptions {
-  /// Template for every point; algorithm / serve / cache / loadgen knobs
-  /// are overridden per arm below.
-  OverloadExperimentOptions base;
-  std::vector<AlgorithmType> algorithms = {AlgorithmType::kPace,
-                                           AlgorithmType::kCempar};
-  /// Aggregate offered request rates (requests per sim second) swept.
-  std::vector<double> arrival_rates = {40.0};
-  /// Include the steady (no burst) arm alongside the flash-crowd arm.
-  bool none_burst = true;
-  double burst_multiplier = 8.0;
-  /// Per-node serving capacity. PACE serves predictions at the requester
-  /// itself, so its budget is per-session; CEMPaR concentrates requests on
-  /// the hot documents' home super-peers, so its budget is per owner. 0 =
-  /// auto: headroom × the respective steady-state per-node offered rate.
-  double pace_service_rate = 0.0;
-  double cempar_service_rate = 0.0;
-  /// Steady-state capacity headroom used by the auto calibration: capacity
-  /// = headroom × offered. Well above 1 the steady arm is healthy (service
-  /// time is a small fraction of the SLO, so off-burst requests land within
-  /// it even in the undefended arm); the flash multiplier then drives
-  /// offered past capacity and only the defended arm keeps its goodput.
-  double capacity_headroom = 4.0;
-  /// Invoked after every completed point (progress reporting); may be null.
-  std::function<void(const OverloadRow&)> on_point;
-};
+using OverloadRow = SweepRowOf<OverloadPoint, OverloadRunStats>;
+using OverloadSweep = SweepResultOf<OverloadPoint, OverloadRunStats>;
 
-/// Runs the grid: algorithms × arrival rates × bursts × {undefended,
-/// defended}, plus one disarmed bit-identity pair per algorithm (the same
-/// two arm configurations with the load generator off — their fingerprints
-/// must match exactly).
-Result<std::vector<OverloadRow>> RunOverloadSweep(
-    const VectorizedCorpus& corpus, const OverloadSweepOptions& options);
+/// The overload grid, each point a copy of `base`: for PACE, then CEMPaR,
+/// one disarmed bit-identity pair (both arm configurations with the load
+/// generator off — their fingerprints must match exactly), then
+/// `arrival_rates` × {none, flash} × {undefended, defended}. The flash
+/// burst multiplies the rate by `burst_multiplier` inside the replay's
+/// expected steady-state span.
+///
+/// Both arms get finite per-node serving capacity at 4× the steady-state
+/// offered rate: per session for PACE, which serves at the requester, and
+/// per home owner for CEMPaR, budgeted as if ~4 Zipf-hot owners carry the
+/// aggregate rate. The defended arm adds admission control + load
+/// shedding, the prediction cache, CEMPaR request batching and the
+/// reliable transport's typed overload path.
+std::vector<OverloadPoint> OverloadGrid(const OverloadExperimentOptions& base,
+                                        const std::vector<double>& arrival_rates,
+                                        double burst_multiplier);
 
-/// Flattens sweep rows into the CSV schema bench_overload writes
-/// (bench_results/overload.csv).
+/// Runs every point through RunOverloadExperiment on RunSweepLoop.
+OverloadSweep RunOverloadSweep(
+    const VectorizedCorpus& corpus, const std::vector<OverloadPoint>& points,
+    const std::function<void(const OverloadRow&)>& on_point);
+
+/// Flattens completed overload points into the CSV schema bench_overload
+/// writes (bench_results/overload.csv).
 CsvWriter OverloadCsv(const std::vector<OverloadRow>& rows);
 
 }  // namespace p2pdt

@@ -26,17 +26,11 @@ Result<PassOutput> RunPass(const VectorizedCorpus& corpus,
                            const ExperimentOptions& options,
                            std::size_t num_crashed_peers) {
   PassOutput out;
-  CorpusSplit split =
-      SplitCorpus(corpus, options.train_fraction, options.seed);
-  Result<std::vector<DatasetShard>> peers = DistributeDataShared(
-      std::make_shared<const MultiLabelDataset>(std::move(split.train)),
-      options.env.num_peers, options.distribution, &split.train_user);
-  if (!peers.ok()) return peers.status();
-  Result<ClassifierNetwork> network = SetUpNetwork(
-      options, std::move(peers).value(), corpus.dataset.num_tags());
-  if (!network.ok()) return network.status();
-  Environment& env = *network->env;
-  P2PClassifier& algo = *network->algo;
+  Result<StoodUpNetwork> stood_up = StandUpNetwork(corpus, options);
+  if (!stood_up.ok()) return stood_up.status();
+  const MultiLabelDataset& test = stood_up->test;
+  Environment& env = *stood_up->network.env;
+  P2PClassifier& algo = *stood_up->network.algo;
   P2PDT_RETURN_IF_ERROR(
       TrainToQuiescence(env, algo, options.max_train_sim_seconds).status());
 
@@ -88,7 +82,7 @@ Result<PassOutput> RunPass(const VectorizedCorpus& corpus,
 
   // Identical prediction workload to RunExperiment's evaluation loop.
   Rng eval_rng(options.seed ^ 0xE7A1);
-  std::vector<std::size_t> test_idx(split.test.size());
+  std::vector<std::size_t> test_idx(test.size());
   std::iota(test_idx.begin(), test_idx.end(), 0);
   eval_rng.Shuffle(test_idx);
   if (options.max_test_documents > 0 &&
@@ -99,7 +93,7 @@ Result<PassOutput> RunPass(const VectorizedCorpus& corpus,
   std::size_t outstanding = test_idx.size();
   bool predict_done = (outstanding == 0);
   for (std::size_t i = 0; i < test_idx.size(); ++i) {
-    const MultiLabelExample& ex = split.test[test_idx[i]];
+    const MultiLabelExample& ex = test[test_idx[i]];
     NodeId requester = eval_rng.NextU64(env.net().num_nodes());
     algo.Predict(requester, ex.x, [&, i](P2PPrediction p) {
       out.predictions[i] = std::move(p);

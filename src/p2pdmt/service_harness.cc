@@ -1,46 +1,33 @@
 #include "p2pdmt/service_harness.h"
 
-#include <algorithm>
 #include <utility>
-
-#include "p2pdmt/data_distribution.h"
 
 namespace p2pdt {
 
 Result<std::unique_ptr<TrainedService>> BuildTrainedService(
-    const VectorizedCorpus& corpus, const ServiceHarnessOptions& options) {
-  CorpusSplit split = SplitCorpus(corpus, options.train_fraction, options.seed);
-  if (split.train.size() == 0 || split.test.size() == 0) {
+    const VectorizedCorpus& corpus, const ExperimentOptions& options,
+    std::size_t max_docs) {
+  ExperimentOptions service_options = options;
+  service_options.env.observe.metrics = true;
+  Result<StoodUpNetwork> stood_up = StandUpNetwork(corpus, service_options);
+  if (!stood_up.ok()) return stood_up.status();
+  if (stood_up->train_documents == 0 || stood_up->test.size() == 0) {
     return Status::InvalidArgument(
         "service harness needs non-empty train and test splits");
   }
 
-  ExperimentOptions algo_options;
-  algo_options.algorithm = options.algorithm;
-  algo_options.env = options.env;
-  algo_options.env.observe.metrics = true;
-  algo_options.cempar = options.cempar;
-  algo_options.pace = options.pace;
-  Result<std::vector<DatasetShard>> shards = DistributeDataShared(
-      std::make_shared<const MultiLabelDataset>(std::move(split.train)),
-      options.env.num_peers, options.distribution, &split.train_user);
-  if (!shards.ok()) return shards.status();
-  Result<ClassifierNetwork> network = SetUpNetwork(
-      algo_options, std::move(shards).value(), corpus.dataset.num_tags());
-  if (!network.ok()) return network.status();
-
   auto service = std::make_unique<TrainedService>();
-  service->env = std::move(network->env);
-  service->classifier = std::move(network->algo);
+  service->env = std::move(stood_up->network.env);
+  service->classifier = std::move(stood_up->network.algo);
   service->num_peers = options.env.num_peers;
   Result<double> train_sim_seconds = TrainToQuiescence(
       *service->env, *service->classifier, options.max_train_sim_seconds);
   if (!train_sim_seconds.ok()) return train_sim_seconds.status();
   service->train_sim_seconds = train_sim_seconds.value();
 
-  service->catalog =
-      BuildServiceCatalog(corpus, options.train_fraction, options.max_docs,
-                          options.seed);
+  for (const SparseVector* doc : RequestCatalog(stood_up->test, max_docs)) {
+    service->catalog.push_back(*doc);
+  }
 
   service->host =
       std::make_unique<ServiceHost>(&service->env->sim(),
@@ -53,12 +40,10 @@ std::vector<SparseVector> BuildServiceCatalog(const VectorizedCorpus& corpus,
                                               std::size_t max_docs,
                                               uint64_t seed) {
   CorpusSplit split = SplitCorpus(corpus, train_fraction, seed);
-  const std::size_t catalog =
-      max_docs == 0 ? split.test.size()
-                    : std::min(max_docs, split.test.size());
   std::vector<SparseVector> docs;
-  docs.reserve(catalog);
-  for (std::size_t i = 0; i < catalog; ++i) docs.push_back(split.test[i].x);
+  for (const SparseVector* doc : RequestCatalog(split.test, max_docs)) {
+    docs.push_back(*doc);
+  }
   return docs;
 }
 

@@ -33,26 +33,17 @@ struct TrainedService {
   }
 };
 
-struct ServiceHarnessOptions {
-  AlgorithmType algorithm = AlgorithmType::kPace;
-  EnvironmentOptions env;
-  DataDistributionOptions distribution;
-  CemparOptions cempar;
-  PaceOptions pace;
-  double train_fraction = 0.2;
-  /// Cap on the catalog drawn from the test split (0 = all).
-  std::size_t max_docs = 0;
-  double max_train_sim_seconds = 3600.0;
-  uint64_t seed = 777;
-};
-
-/// Trains `algorithm` on `corpus` exactly the way the experiment harnesses
-/// do (same split, distribution, shard setup and training drive), then
-/// packages it for synchronous serving. Churn is left to the caller's env
-/// options; the daemon defaults assume none (a serving deployment, not a
-/// churn study).
+/// Trains `options.algorithm` on `corpus` exactly the way the experiment
+/// harnesses do (StandUpNetwork, then TrainToQuiescence within
+/// options.max_train_sim_seconds), then packages it for synchronous serving
+/// with the first `max_docs` test documents (0 = all) as its catalog.
+/// Metrics are always on (the daemon exports them); the evaluation and
+/// artifact fields of `options` do not apply. Churn is left to the caller's
+/// env options; the daemon defaults assume none (a serving deployment, not
+/// a churn study).
 Result<std::unique_ptr<TrainedService>> BuildTrainedService(
-    const VectorizedCorpus& corpus, const ServiceHarnessOptions& options);
+    const VectorizedCorpus& corpus, const ExperimentOptions& options,
+    std::size_t max_docs);
 
 /// The catalog a *client* of a daemon built from the same corpus + split
 /// parameters sees: byte-identical to TrainedService::catalog. This is how

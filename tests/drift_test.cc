@@ -104,8 +104,8 @@ TEST(DriftScenarioTest, NewTagNeedsAReservedTag) {
 
 DriftExperimentOptions HarnessOptions(RetrainPolicy policy) {
   DriftExperimentOptions opt;
-  opt.algorithm = AlgorithmType::kPace;
-  opt.pace.reliable_dissemination = true;
+  opt.experiment.algorithm = AlgorithmType::kPace;
+  opt.experiment.pace.reliable_dissemination = true;
   opt.policy = policy;
   opt.window_documents = 24;
   opt.staleness.window = 8;
@@ -176,11 +176,11 @@ TEST(DriftHarnessTest, StationaryArmedPoliciesAreBitIdentical) {
 // across shard and thread counts.
 TEST(DriftHarnessTest, SerialMatchesShardedWithRetrainsLive) {
   DriftExperimentOptions serial = HarnessOptions(RetrainPolicy::kPeriodic);
-  serial.pace.sim_shards = 1;
-  serial.pace.num_threads = 1;
+  serial.experiment.pace.sim_shards = 1;
+  serial.experiment.pace.num_threads = 1;
   DriftExperimentOptions sharded = HarnessOptions(RetrainPolicy::kPeriodic);
-  sharded.pace.sim_shards = 4;
-  sharded.pace.num_threads = 4;
+  sharded.experiment.pace.sim_shards = 4;
+  sharded.experiment.pace.num_threads = 4;
   DriftExperimentResult a = RunHarness(DriftingStream(), serial);
   DriftExperimentResult b = RunHarness(DriftingStream(), sharded);
   EXPECT_GT(a.retrains, 0u);
@@ -191,12 +191,12 @@ TEST(DriftHarnessTest, SerialMatchesShardedWithRetrainsLive) {
 TEST(DriftHarnessTest, SerialMatchesShardedWithDetectorArmed) {
   DriftExperimentOptions serial =
       HarnessOptions(RetrainPolicy::kDriftTriggered);
-  serial.pace.sim_shards = 1;
-  serial.pace.num_threads = 1;
+  serial.experiment.pace.sim_shards = 1;
+  serial.experiment.pace.num_threads = 1;
   DriftExperimentOptions sharded =
       HarnessOptions(RetrainPolicy::kDriftTriggered);
-  sharded.pace.sim_shards = 4;
-  sharded.pace.num_threads = 4;
+  sharded.experiment.pace.sim_shards = 4;
+  sharded.experiment.pace.num_threads = 4;
   DriftExperimentResult a = RunHarness(DriftingStream(), serial);
   DriftExperimentResult b = RunHarness(DriftingStream(), sharded);
   EXPECT_EQ(a.retrains, b.retrains);
@@ -227,7 +227,7 @@ TEST(DriftHarnessTest, DetectorFiresAndRecoveryBeatsFrozen) {
   ASSERT_TRUE(stream.ok()) << stream.status().ToString();
 
   DriftExperimentOptions frozen_opt = HarnessOptions(RetrainPolicy::kFrozen);
-  frozen_opt.env.physical.loss_rate = 0.2;
+  frozen_opt.experiment.env.physical.loss_rate = 0.2;
   frozen_opt.window_documents = 40;
   frozen_opt.staleness.window = 12;
   frozen_opt.staleness.min_observations = 8;

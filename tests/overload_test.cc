@@ -169,9 +169,9 @@ INSTANTIATE_TEST_SUITE_P(BothAlgorithms, OverloadCacheTest,
 
 OverloadExperimentOptions ArmedOptions(AlgorithmType algorithm) {
   OverloadExperimentOptions opt;
-  opt.algorithm = algorithm;
-  opt.env.num_peers = SmallCorpus().num_users;
-  opt.distribution.cls = ClassDistribution::kByUser;
+  opt.experiment.algorithm = algorithm;
+  opt.experiment.env.num_peers = SmallCorpus().num_users;
+  opt.experiment.distribution.cls = ClassDistribution::kByUser;
   opt.loadgen.enabled = true;
   opt.loadgen.sessions = SmallCorpus().num_users;
   opt.loadgen.min_docs = 3;
@@ -194,12 +194,12 @@ OverloadExperimentOptions ArmedOptions(AlgorithmType algorithm) {
     serve.max_wait = 0.5;
     serve.retry_after = 0.25;
   };
-  defend(opt.pace.serve);
-  defend(opt.cempar.serve);
-  opt.pace.predict_cache = CacheOn();
-  opt.cempar.predict_cache = CacheOn();
-  opt.cempar.batch_predictions = true;
-  opt.cempar.reliable_transport = true;
+  defend(opt.experiment.pace.serve);
+  defend(opt.experiment.cempar.serve);
+  opt.experiment.pace.predict_cache = CacheOn();
+  opt.experiment.cempar.predict_cache = CacheOn();
+  opt.experiment.cempar.batch_predictions = true;
+  opt.experiment.cempar.reliable_transport = true;
   return opt;
 }
 
@@ -208,9 +208,9 @@ class OverloadDeterminismTest
 
 TEST_P(OverloadDeterminismTest, ArmedSerialEqualsSharded) {
   OverloadExperimentOptions serial = ArmedOptions(GetParam());
-  serial.sim_shards = 1;
+  serial.experiment.sim_shards = 1;
   OverloadExperimentOptions sharded = ArmedOptions(GetParam());
-  sharded.sim_shards = 4;
+  sharded.experiment.sim_shards = 4;
 
   Result<OverloadRunStats> a = RunOverloadExperiment(SmallCorpus(), serial);
   Result<OverloadRunStats> b = RunOverloadExperiment(SmallCorpus(), sharded);
@@ -227,9 +227,9 @@ TEST_P(OverloadDeterminismTest, ArmedSerialEqualsSharded) {
 TEST_P(OverloadDeterminismTest, IdleMachineryChangesNoPrediction) {
   // Pure default: no serve queues, no cache, no batching.
   OverloadExperimentOptions plain;
-  plain.algorithm = GetParam();
-  plain.env.num_peers = SmallCorpus().num_users;
-  plain.distribution.cls = ClassDistribution::kByUser;
+  plain.experiment.algorithm = GetParam();
+  plain.experiment.env.num_peers = SmallCorpus().num_users;
+  plain.experiment.distribution.cls = ClassDistribution::kByUser;
   plain.loadgen.enabled = false;
 
   // Full machinery constructed but idle: finite queues with admission
@@ -237,7 +237,8 @@ TEST_P(OverloadDeterminismTest, IdleMachineryChangesNoPrediction) {
   // that never contends.
   OverloadExperimentOptions armed = ArmedOptions(GetParam());
   armed.loadgen.enabled = false;
-  armed.cempar.reliable_transport = plain.cempar.reliable_transport;
+  armed.experiment.cempar.reliable_transport =
+      plain.experiment.cempar.reliable_transport;
 
   Result<OverloadRunStats> a = RunOverloadExperiment(SmallCorpus(), plain);
   Result<OverloadRunStats> b = RunOverloadExperiment(SmallCorpus(), armed);

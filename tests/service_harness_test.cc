@@ -30,13 +30,12 @@ constexpr std::size_t kCatalogDocs = 12;
 constexpr uint64_t kSeed = 20100913;
 
 std::unique_ptr<TrainedService> Build(AlgorithmType algorithm) {
-  ServiceHarnessOptions options;
+  ExperimentOptions options;
   options.algorithm = algorithm;
   options.env.num_peers = 10;
-  options.max_docs = kCatalogDocs;
   options.seed = kSeed;
   Result<std::unique_ptr<TrainedService>> service =
-      BuildTrainedService(TinyCorpus(), options);
+      BuildTrainedService(TinyCorpus(), options, kCatalogDocs);
   EXPECT_TRUE(service.ok()) << service.status().ToString();
   return service.ok() ? std::move(service).value() : nullptr;
 }

@@ -4,6 +4,7 @@
 
 #include <gtest/gtest.h>
 
+#include "bench/bench_util.h"
 #include "p2pdmt/byzantine.h"
 #include "p2pdmt/drift.h"
 #include "p2pdmt/experiment.h"
@@ -36,9 +37,9 @@ ExperimentOptions TinyBase() {
   return opt;
 }
 
-// The expected CSV texts below were produced by the per-sweep harnesses
-// RunSweep replaced; any change to a grid's order, its per-point options
-// or a column's derivation shows up as a diff here.
+// The expected CSV texts below were produced by the per-sweep loops
+// RunSweepLoop replaced; any change to a grid's order, its per-point
+// options or a column's derivation shows up as a diff here.
 constexpr char kFaultCsv[] = R"csv(algorithm,plan,loss_rate,reliable,micro_f1,macro_f1,prediction_success_rate,failed,degraded,attempted,delivery_rate,retry_overhead,retransmits,give_ups,injected_drops,model_coverage
 cempar,none,0,0,0.979167,0.973123,1,0,0,40,1,0,0,0,0,-1
 cempar,none,0,1,0.979167,0.973123,1,0,0,40,1,0,0,0,0,-1
@@ -184,38 +185,89 @@ StreamOptions TinyStream() {
   return stream;
 }
 
+DriftExperimentOptions TinyDriftBase() {
+  DriftExperimentOptions base;
+  base.experiment.pace.reliable_dissemination = true;
+  base.experiment.cempar.reliable_transport = true;
+  base.window_documents = 24;
+  base.staleness.window = 8;
+  base.staleness.min_observations = 6;
+  base.staleness.drift_threshold = 0.06;
+  base.staleness.stale_after_docs = 16;
+  return base;
+}
+
+std::vector<DriftPoint> TinyDriftGrid() {
+  return DriftGrid(TinyDriftBase(),
+                   {AlgorithmType::kPace, AlgorithmType::kCempar},
+                   {"none", "sudden_vocab"},
+                   {RetrainPolicy::kFrozen, RetrainPolicy::kDriftTriggered},
+                   /*loss_rates=*/{0.0, 0.2}, /*churn_arm=*/true);
+}
+
 TEST(SweepGoldenTest, DriftGrid) {
-  DriftSweepOptions sweep;
-  sweep.stream = TinyStream();
-  sweep.base.pace.reliable_dissemination = true;
-  sweep.base.cempar.reliable_transport = true;
-  sweep.base.window_documents = 24;
-  sweep.base.staleness.window = 8;
-  sweep.base.staleness.min_observations = 6;
-  sweep.base.staleness.drift_threshold = 0.06;
-  sweep.base.staleness.stale_after_docs = 16;
-  sweep.scenarios = {"none", "sudden_vocab"};
-  sweep.policies = {RetrainPolicy::kFrozen, RetrainPolicy::kDriftTriggered};
-  Result<std::vector<DriftRow>> rows = RunDriftSweep(sweep);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_EQ(DriftCsv(rows.value()).ToString(), kDriftCsv);
+  Result<DriftSweep> sweep =
+      RunDriftSweep(TinyStream(), TinyDriftGrid(), nullptr);
+  ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+  EXPECT_TRUE(sweep->failed.empty());
+  EXPECT_EQ(DriftCsv(sweep->rows).ToString(), kDriftCsv);
+}
+
+OverloadExperimentOptions TinyOverloadBase() {
+  OverloadExperimentOptions base;
+  base.experiment.env.num_peers = 10;
+  base.experiment.distribution.cls = ClassDistribution::kByUser;
+  base.loadgen.sessions = 10;
+  base.loadgen.min_docs = 3;
+  base.loadgen.max_docs = 5;
+  base.loadgen.slo_latency = 1.0;
+  base.loadgen.max_retries = 1;
+  return base;
 }
 
 TEST(SweepGoldenTest, OverloadGrid) {
-  OverloadSweepOptions sweep;
-  sweep.base.env.num_peers = 10;
-  sweep.base.distribution.cls = ClassDistribution::kByUser;
-  sweep.base.loadgen.sessions = 10;
-  sweep.base.loadgen.min_docs = 3;
-  sweep.base.loadgen.max_docs = 5;
-  sweep.base.loadgen.slo_latency = 1.0;
-  sweep.base.loadgen.max_retries = 1;
-  sweep.arrival_rates = {12.0};
-  sweep.burst_multiplier = 6.0;
-  Result<std::vector<OverloadRow>> rows =
-      RunOverloadSweep(TinyCorpus(), sweep);
-  ASSERT_TRUE(rows.ok()) << rows.status().ToString();
-  EXPECT_EQ(OverloadCsv(rows.value()).ToString(), kOverloadCsv);
+  OverloadSweep sweep = RunOverloadSweep(
+      TinyCorpus(),
+      OverloadGrid(TinyOverloadBase(), /*arrival_rates=*/{12.0},
+                   /*burst_multiplier=*/6.0),
+      nullptr);
+  EXPECT_TRUE(sweep.failed.empty());
+  EXPECT_EQ(OverloadCsv(sweep.rows).ToString(), kOverloadCsv);
+}
+
+TEST(RunSweepTest, FailedDriftPointIsNamedAndFailsTheBench) {
+  std::vector<DriftPoint> points = TinyDriftGrid();
+  points.resize(2);
+  points[0].options.window_documents = 0;  // rejected by the harness
+  std::size_t progress = 0;
+  Result<DriftSweep> sweep = RunDriftSweep(
+      TinyStream(), points, [&](const DriftRow&) { ++progress; });
+  ASSERT_TRUE(sweep.ok()) << sweep.status().ToString();
+  ASSERT_EQ(sweep->failed.size(), 1u);
+  EXPECT_NE(sweep->failed[0].find("pace scenario=none policy=frozen"),
+            std::string::npos)
+      << sweep->failed[0];
+  ASSERT_EQ(sweep->rows.size(), 1u);
+  EXPECT_EQ(sweep->rows[0].result.policy, "drift");
+  EXPECT_EQ(progress, 1u);
+  EXPECT_NE(p2pdt_bench::ReportSweepFailures(*sweep), 0);
+}
+
+TEST(RunSweepTest, FailedOverloadPointIsNamedAndFailsTheBench) {
+  std::vector<OverloadPoint> points =
+      OverloadGrid(TinyOverloadBase(), {12.0}, 6.0);
+  points.resize(2);
+  // CEMPaR needs a DHT, which the unstructured overlay does not provide.
+  points[1].options.experiment.algorithm = AlgorithmType::kCempar;
+  points[1].options.experiment.env.overlay = OverlayType::kUnstructured;
+  OverloadSweep sweep = RunOverloadSweep(TinyCorpus(), points, nullptr);
+  ASSERT_EQ(sweep.failed.size(), 1u);
+  EXPECT_NE(sweep.failed[0].find("cempar arm=defended burst=disarmed"),
+            std::string::npos)
+      << sweep.failed[0];
+  ASSERT_EQ(sweep.rows.size(), 1u);
+  EXPECT_EQ(sweep.rows[0].point.arm, "undefended");
+  EXPECT_NE(p2pdt_bench::ReportSweepFailures(sweep), 0);
 }
 
 TEST(RunSweepTest, FailedPointIsNamedAndSkipped) {
@@ -235,6 +287,7 @@ TEST(RunSweepTest, FailedPointIsNamedAndSkipped) {
   ASSERT_EQ(sweep.rows.size(), 1u);
   EXPECT_EQ(sweep.rows[0].result.algorithm, "pace");
   EXPECT_EQ(progress, 1u);
+  EXPECT_NE(p2pdt_bench::ReportSweepFailures(sweep), 0);
 }
 
 }  // namespace

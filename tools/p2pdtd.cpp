@@ -124,16 +124,15 @@ int main(int argc, char** argv) {
     return 1;
   }
 
-  ServiceHarnessOptions harness;
+  ExperimentOptions harness;
   harness.algorithm =
       flags.algo == "cempar" ? AlgorithmType::kCempar : AlgorithmType::kPace;
   harness.env.num_peers = flags.peers;
-  harness.max_docs = flags.max_docs;
   harness.seed = flags.seed;
   std::fprintf(stderr, "p2pdtd: training %s on %zu peers...\n",
                flags.algo.c_str(), flags.peers);
   Result<std::unique_ptr<TrainedService>> service =
-      BuildTrainedService(*corpus, harness);
+      BuildTrainedService(*corpus, harness, flags.max_docs);
   if (!service.ok()) {
     std::fprintf(stderr, "training failed: %s\n",
                  service.status().ToString().c_str());
