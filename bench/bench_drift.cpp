@@ -79,7 +79,8 @@ void PrintHeader() {
               "finalF1", "recov", "retrains", "giveups");
 }
 
-int RunGrid(const StreamOptions& stream, const std::vector<DriftPoint>& points) {
+int RunGrid(const StreamOptions& stream,
+            const std::vector<DriftPoint>& points) {
   PrintHeader();
   Result<DriftSweep> sweep =
       RunDriftSweep(stream, points, [](const DriftRow& row) {

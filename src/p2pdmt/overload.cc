@@ -154,16 +154,17 @@ void ConfigureArm(OverloadExperimentOptions& opt, const std::string& arm,
 
 }  // namespace
 
-std::vector<OverloadPoint> OverloadGrid(const OverloadExperimentOptions& base,
-                                        const std::vector<double>& arrival_rates,
-                                        double burst_multiplier) {
+std::vector<OverloadPoint> OverloadGrid(
+    const OverloadExperimentOptions& base,
+    const std::vector<double>& arrival_rates, double burst_multiplier) {
   std::vector<OverloadPoint> points;
   const std::vector<std::string> arms = {"undefended", "defended"};
   const std::vector<std::string> bursts = {"none", "flash"};
   const double first_rate =
       arrival_rates.empty() ? 40.0 : arrival_rates.front();
 
-  for (AlgorithmType algorithm : {AlgorithmType::kPace, AlgorithmType::kCempar}) {
+  for (AlgorithmType algorithm :
+       {AlgorithmType::kPace, AlgorithmType::kCempar}) {
     // Disarmed bit-identity pair: both arm configurations with the load
     // generator off. The checker asserts their fingerprints match — idle
     // overload machinery changes no prediction.

@@ -101,9 +101,9 @@ using OverloadSweep = SweepResultOf<OverloadPoint, OverloadRunStats>;
 /// aggregate rate. The defended arm adds admission control + load
 /// shedding, the prediction cache, CEMPaR request batching and the
 /// reliable transport's typed overload path.
-std::vector<OverloadPoint> OverloadGrid(const OverloadExperimentOptions& base,
-                                        const std::vector<double>& arrival_rates,
-                                        double burst_multiplier);
+std::vector<OverloadPoint> OverloadGrid(
+    const OverloadExperimentOptions& base,
+    const std::vector<double>& arrival_rates, double burst_multiplier);
 
 /// Runs every point through RunOverloadExperiment on RunSweepLoop.
 OverloadSweep RunOverloadSweep(
