@@ -429,4 +429,11 @@ Status MetricsRegistry::WriteJson(const std::string& path) const {
   return WriteStringToFile(path, ToJson());
 }
 
+Histogram* PhaseSeconds(MetricsRegistry* metrics, const char* classifier,
+                        const char* phase) {
+  if (metrics == nullptr) return nullptr;
+  return &metrics->GetHistogram(
+      "phase_seconds", {{"classifier", classifier}, {"phase", phase}});
+}
+
 }  // namespace p2pdt

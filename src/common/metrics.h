@@ -175,6 +175,11 @@ class MetricsRegistry {
   std::map<std::string, Family<Histogram>> histograms_;
 };
 
+/// The `phase_seconds{classifier, phase}` histogram a wall-clock phase timer
+/// (PhaseScope) records into; null when `metrics` is null (metrics off).
+Histogram* PhaseSeconds(MetricsRegistry* metrics, const char* classifier,
+                        const char* phase);
+
 }  // namespace p2pdt
 
 #endif  // P2PDT_COMMON_METRICS_H_

@@ -3,6 +3,8 @@
 #include <fstream>
 #include <vector>
 
+#include "common/metrics.h"
+
 namespace p2pdt {
 
 namespace {
@@ -86,17 +88,24 @@ bool PhaseProfiler::empty() const {
   return self_micros_.empty();
 }
 
-PhaseScope::PhaseScope(const char* name) : profiler_(PhaseProfiler::Current()) {
-  if (profiler_ == nullptr) return;
-  ThreadStack& stack = Stack();
-  stack.names.push_back(name);
-  stack.child_micros.push_back(0);
+PhaseScope::PhaseScope(const char* name, Histogram* seconds)
+    : profiler_(PhaseProfiler::Current()), seconds_(seconds) {
+  if (profiler_ == nullptr && seconds_ == nullptr) return;
+  if (profiler_ != nullptr) {
+    ThreadStack& stack = Stack();
+    stack.names.push_back(name);
+    stack.child_micros.push_back(0);
+  }
   start_ = std::chrono::steady_clock::now();
 }
 
 PhaseScope::~PhaseScope() {
-  if (profiler_ == nullptr) return;
+  if (profiler_ == nullptr && seconds_ == nullptr) return;
   const auto end = std::chrono::steady_clock::now();
+  if (seconds_ != nullptr) {
+    seconds_->Observe(std::chrono::duration<double>(end - start_).count());
+  }
+  if (profiler_ == nullptr) return;
   const uint64_t total = static_cast<uint64_t>(
       std::chrono::duration_cast<std::chrono::microseconds>(end - start_)
           .count());

@@ -12,6 +12,8 @@
 
 namespace p2pdt {
 
+class Histogram;
+
 /// Hierarchical wall-clock phase profiler with a collapsed-stack
 /// (flamegraph / pprof -raw style) export.
 ///
@@ -69,18 +71,21 @@ class PhaseProfiler {
   std::map<std::string, uint64_t> self_micros_;
 };
 
-/// RAII profiling scope. Near-free when no profiler is installed; safe on
-/// any thread. Names must be string literals (stored by pointer while the
-/// scope is open).
+/// RAII profiling scope and the one wall-clock phase timer. Near-free when
+/// no profiler is installed and no histogram is given; safe on any thread.
+/// Names must be string literals (stored by pointer while the scope is
+/// open). A non-null `seconds` histogram (see PhaseSeconds) also observes
+/// the scope's wall-clock duration when it closes, profiler or not.
 class PhaseScope {
  public:
-  explicit PhaseScope(const char* name);
+  explicit PhaseScope(const char* name, Histogram* seconds = nullptr);
   ~PhaseScope();
   PhaseScope(const PhaseScope&) = delete;
   PhaseScope& operator=(const PhaseScope&) = delete;
 
  private:
   PhaseProfiler* profiler_;
+  Histogram* seconds_;
   std::chrono::steady_clock::time_point start_;
 };
 

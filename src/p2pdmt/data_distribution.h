@@ -40,6 +40,8 @@ struct DataDistributionOptions {
   /// Dirichlet concentration for kNonIidDirichlet (smaller = more skewed).
   double dirichlet_alpha = 0.3;
   uint64_t seed = 5;
+
+  bool operator==(const DataDistributionOptions&) const = default;
 };
 
 const char* SizeDistributionToString(SizeDistribution d);

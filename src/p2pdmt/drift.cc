@@ -78,6 +78,8 @@ Result<DriftExperimentResult> RunDriftExperiment(
   if (options.window_documents == 0) {
     return Status::InvalidArgument("window_documents must be positive");
   }
+  P2PDT_RETURN_IF_ERROR(RejectUnusedOptions(options.experiment, "drift",
+                                            /*splits_corpus=*/false));
 
   DriftExperimentResult result;
   result.algorithm = AlgorithmTypeToString(options.experiment.algorithm);

@@ -38,7 +38,8 @@ struct DriftExperimentOptions {
   /// Network, protocol and training settings (SetUpNetwork,
   /// TrainToQuiescence). env.num_peers is overridden to the stream's user
   /// count — each simulated user is one peer; the stream's epochs replace
-  /// the split, distribution and evaluation settings.
+  /// the split, distribution and evaluation settings, which (see
+  /// RejectUnusedOptions) must stay at their defaults.
   ExperimentOptions experiment;
 
   RetrainPolicy policy = RetrainPolicy::kFrozen;

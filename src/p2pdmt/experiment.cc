@@ -84,6 +84,84 @@ Result<StoodUpNetwork> StandUpNetwork(const VectorizedCorpus& corpus,
   return stood_up;
 }
 
+Status RejectUnusedOptions(const ExperimentOptions& options,
+                           const std::string& harness, bool splits_corpus) {
+  const ExperimentOptions d;
+  const std::pair<const char*, bool> differs[] = {
+      {"warmup_sim_seconds",
+       options.warmup_sim_seconds != d.warmup_sim_seconds},
+      {"post_train_sim_seconds",
+       options.post_train_sim_seconds != d.post_train_sim_seconds},
+      {"recovery", options.recovery != d.recovery},
+      {"max_test_documents",
+       options.max_test_documents != d.max_test_documents},
+      {"max_eval_peers", options.max_eval_peers != d.max_eval_peers},
+      {"max_predict_sim_seconds",
+       options.max_predict_sim_seconds != d.max_predict_sim_seconds},
+      {"report_path", options.report_path != d.report_path},
+      {"metrics_path", options.metrics_path != d.metrics_path},
+      {"trace_path", options.trace_path != d.trace_path},
+      {"profile_path", options.profile_path != d.profile_path},
+      {"distribution",
+       !splits_corpus && options.distribution != d.distribution},
+      {"train_fraction",
+       !splits_corpus && options.train_fraction != d.train_fraction},
+      {"seed", !splits_corpus && options.seed != d.seed},
+  };
+  for (const auto& [field, set] : differs) {
+    if (set) {
+      return Status::InvalidArgument(harness + " harness ignores " + field +
+                                     "; leave it at its default");
+    }
+  }
+  return Status::OK();
+}
+
+EvaluationSample SampleEvaluation(const ExperimentOptions& options,
+                                  std::size_t test_size,
+                                  const PhysicalNetwork& net) {
+  EvaluationSample sample;
+  Rng eval_rng(options.seed ^ 0xE7A1);
+  sample.test_idx.resize(test_size);
+  std::iota(sample.test_idx.begin(), sample.test_idx.end(), 0);
+  eval_rng.Shuffle(sample.test_idx);
+  if (options.max_test_documents > 0 &&
+      sample.test_idx.size() > options.max_test_documents) {
+    sample.test_idx.resize(options.max_test_documents);
+  }
+
+  // Sampled evaluation: with max_eval_peers set, requesters are drawn from
+  // a deterministic subsample of the network instead of all of it (same
+  // pool for every run/thread/shard count). Empty = legacy full-network
+  // draw, with the RNG call sequence untouched.
+  std::vector<std::size_t> eval_peers;
+  if (options.max_eval_peers > 0 &&
+      options.max_eval_peers < net.num_nodes()) {
+    eval_peers = DeterministicSample(net.num_nodes(), options.max_eval_peers,
+                                     options.seed ^ 0x5A3F);
+  }
+  auto pick_requester = [&]() -> NodeId {
+    // Prefer an online peer; bounded retries keep this deterministic.
+    if (!eval_peers.empty()) {
+      for (int attempt = 0; attempt < 64; ++attempt) {
+        NodeId n = static_cast<NodeId>(
+            eval_peers[eval_rng.NextU64(eval_peers.size())]);
+        if (net.IsOnline(n)) return n;
+      }
+      return static_cast<NodeId>(
+          eval_peers[eval_rng.NextU64(eval_peers.size())]);
+    }
+    for (int attempt = 0; attempt < 64; ++attempt) {
+      NodeId n = eval_rng.NextU64(net.num_nodes());
+      if (net.IsOnline(n)) return n;
+    }
+    return eval_rng.NextU64(net.num_nodes());
+  };
+  sample.requesters.resize(sample.test_idx.size());
+  for (NodeId& requester : sample.requesters) requester = pick_requester();
+  return sample;
+}
+
 std::vector<const SparseVector*> RequestCatalog(const MultiLabelDataset& test,
                                                 std::size_t max_docs) {
   const std::size_t size =
@@ -368,14 +446,9 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   // 4. Evaluate: sample test documents, predict from random online peers.
   if (env.profiler() != nullptr) env.profiler()->SetPhase("predict");
   CostCounts before_predict_cost = CostLedger::Collect();
-  Rng eval_rng(options.seed ^ 0xE7A1);
-  std::vector<std::size_t> test_idx(test.size());
-  std::iota(test_idx.begin(), test_idx.end(), 0);
-  eval_rng.Shuffle(test_idx);
-  if (options.max_test_documents > 0 &&
-      test_idx.size() > options.max_test_documents) {
-    test_idx.resize(options.max_test_documents);
-  }
+  const EvaluationSample sample =
+      SampleEvaluation(options, test.size(), env.net());
+  const std::vector<std::size_t>& test_idx = sample.test_idx;
   result.test_documents = test_idx.size();
 
   std::vector<std::vector<TagId>> truth(test_idx.size());
@@ -384,41 +457,10 @@ Result<ExperimentResult> RunExperiment(const VectorizedCorpus& corpus,
   bool predict_done = (outstanding == 0);
   std::size_t failed = 0;
   std::size_t degraded = 0;
-
-  // Sampled evaluation: with max_eval_peers set, requesters are drawn from
-  // a deterministic subsample of the network instead of all of it (same
-  // pool for every run/thread/shard count). Empty = legacy full-network
-  // draw, with the RNG call sequence untouched.
-  std::vector<std::size_t> eval_peers;
-  if (options.max_eval_peers > 0 &&
-      options.max_eval_peers < env.net().num_nodes()) {
-    eval_peers = DeterministicSample(env.net().num_nodes(),
-                                     options.max_eval_peers,
-                                     options.seed ^ 0x5A3F);
-  }
-  auto pick_requester = [&]() -> NodeId {
-    // Prefer an online peer; bounded retries keep this deterministic.
-    if (!eval_peers.empty()) {
-      for (int attempt = 0; attempt < 64; ++attempt) {
-        NodeId n = static_cast<NodeId>(
-            eval_peers[eval_rng.NextU64(eval_peers.size())]);
-        if (env.net().IsOnline(n)) return n;
-      }
-      return static_cast<NodeId>(
-          eval_peers[eval_rng.NextU64(eval_peers.size())]);
-    }
-    for (int attempt = 0; attempt < 64; ++attempt) {
-      NodeId n = eval_rng.NextU64(env.net().num_nodes());
-      if (env.net().IsOnline(n)) return n;
-    }
-    return eval_rng.NextU64(env.net().num_nodes());
-  };
-
   for (std::size_t i = 0; i < test_idx.size(); ++i) {
     const MultiLabelExample& ex = test[test_idx[i]];
     truth[i] = ex.tags;
-    NodeId requester = pick_requester();
-    algo.Predict(requester, ex.x, [&, i](P2PPrediction p) {
+    algo.Predict(sample.requesters[i], ex.x, [&, i](P2PPrediction p) {
       if (!p.success) ++failed;
       if (p.degraded) ++degraded;
       predicted[i] = std::move(p.tags);

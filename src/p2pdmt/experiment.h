@@ -316,6 +316,37 @@ struct StoodUpNetwork {
 Result<StoodUpNetwork> StandUpNetwork(const VectorizedCorpus& corpus,
                                       const ExperimentOptions& options);
 
+/// RunExperiment's evaluation workload: which test documents are predicted,
+/// in prediction order, and which peer requests each.
+struct EvaluationSample {
+  std::vector<std::size_t> test_idx;  ///< Indices into the test split.
+  std::vector<NodeId> requesters;     ///< One per entry of test_idx.
+
+  bool operator==(const EvaluationSample&) const = default;
+};
+
+/// Draws the evaluation sample from `options.seed`: shuffles the
+/// `test_size` test documents and keeps the first
+/// `options.max_test_documents` (all when 0), then draws one requester per
+/// document, preferring online peers — from a deterministic pool of
+/// `options.max_eval_peers` peers when set, from the whole network
+/// otherwise. Predict neither advances the simulator nor draws from this
+/// sample's RNG, so drawing every requester before the first prediction
+/// matches drawing each just before its own.
+EvaluationSample SampleEvaluation(const ExperimentOptions& options,
+                                  std::size_t test_size,
+                                  const PhysicalNetwork& net);
+
+/// The harnesses that run their own workload on a network they stand up
+/// (overload, service, drift) read only part of ExperimentOptions. Returns
+/// InvalidArgument naming the first field such a harness would ignore that
+/// differs from its default: warmup_sim_seconds, post_train_sim_seconds,
+/// recovery, max_test_documents, max_eval_peers, max_predict_sim_seconds
+/// and the four artifact paths — plus distribution, train_fraction and seed
+/// when the harness builds its shards itself (`splits_corpus` false).
+Status RejectUnusedOptions(const ExperimentOptions& options,
+                           const std::string& harness, bool splits_corpus);
+
 /// The first `max_docs` documents of `test` (all of them when 0), in split
 /// order: the popularity-ordered request catalog the overload and service
 /// harnesses replay. The pointers view `test`.

@@ -10,6 +10,8 @@ namespace p2pdt {
 
 Result<OverloadRunStats> RunOverloadExperiment(
     const VectorizedCorpus& corpus, const OverloadExperimentOptions& options) {
+  P2PDT_RETURN_IF_ERROR(RejectUnusedOptions(options.experiment, "overload",
+                                            /*splits_corpus=*/true));
   ExperimentOptions experiment = options.experiment;
   experiment.env.observe.metrics = true;  // the SLO histogram lives here
   Result<StoodUpNetwork> stood_up = StandUpNetwork(corpus, experiment);

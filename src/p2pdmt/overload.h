@@ -21,6 +21,7 @@ namespace p2pdt {
 struct OverloadExperimentOptions {
   /// Network, protocol, split and training settings (StandUpNetwork);
   /// env.observe.metrics is forced on, since the SLO histogram lives there.
+  /// The fields RejectUnusedOptions lists must stay at their defaults.
   /// Armed load-generation results are bit-identical for every sim_shards.
   ExperimentOptions experiment;
   LoadGenOptions loadgen;

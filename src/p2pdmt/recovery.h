@@ -34,6 +34,8 @@ struct RecoveryOptions {
   /// Refresh the peer's checkpoint after a cold retrain, so its *next*
   /// rejoin can be warm. Only meaningful with warm_rejoin.
   bool recheckpoint_after_cold_restart = true;
+
+  bool operator==(const RecoveryOptions&) const = default;
 };
 
 /// What the recovery layer did over a run.

@@ -1,7 +1,6 @@
 #include "p2pdmt/recovery_experiment.h"
 
 #include <cstring>
-#include <numeric>
 #include <utility>
 
 #include "p2pdmt/recovery.h"
@@ -12,6 +11,7 @@ namespace {
 
 /// Everything one pass of the crash-restore experiment produces.
 struct PassOutput {
+  EvaluationSample sample;
   std::vector<P2PPrediction> predictions;
   std::size_t crashed = 0;
   std::size_t restored = 0;
@@ -81,21 +81,14 @@ Result<PassOutput> RunPass(const VectorizedCorpus& corpus,
   }
 
   // Identical prediction workload to RunExperiment's evaluation loop.
-  Rng eval_rng(options.seed ^ 0xE7A1);
-  std::vector<std::size_t> test_idx(test.size());
-  std::iota(test_idx.begin(), test_idx.end(), 0);
-  eval_rng.Shuffle(test_idx);
-  if (options.max_test_documents > 0 &&
-      test_idx.size() > options.max_test_documents) {
-    test_idx.resize(options.max_test_documents);
-  }
+  out.sample = SampleEvaluation(options, test.size(), env.net());
+  const std::vector<std::size_t>& test_idx = out.sample.test_idx;
   out.predictions.resize(test_idx.size());
   std::size_t outstanding = test_idx.size();
   bool predict_done = (outstanding == 0);
   for (std::size_t i = 0; i < test_idx.size(); ++i) {
     const MultiLabelExample& ex = test[test_idx[i]];
-    NodeId requester = eval_rng.NextU64(env.net().num_nodes());
-    algo.Predict(requester, ex.x, [&, i](P2PPrediction p) {
+    algo.Predict(out.sample.requesters[i], ex.x, [&, i](P2PPrediction p) {
       out.predictions[i] = std::move(p);
       if (--outstanding == 0) predict_done = true;
     });
@@ -132,8 +125,9 @@ Result<CrashRestoreReport> RunCrashRestoreExperiment(
   report.resnapshot_mismatches = recovered->resnapshot_mismatches;
   report.checkpoint_bytes = recovered->checkpoint_bytes;
   report.predictions = baseline->predictions.size();
-  if (baseline->predictions.size() != recovered->predictions.size()) {
-    return Status::Internal("prediction counts diverged between passes");
+  report.requesters = baseline->sample.requesters;
+  if (baseline->sample != recovered->sample) {
+    return Status::Internal("evaluation samples diverged between passes");
   }
   for (std::size_t i = 0; i < baseline->predictions.size(); ++i) {
     const P2PPrediction& a = baseline->predictions[i];

@@ -17,6 +17,9 @@ struct CrashRestoreReport {
   std::size_t restored_peers = 0;
   uint64_t checkpoint_bytes = 0;
   std::size_t predictions = 0;
+  /// The requester of each prediction, in evaluation order: the
+  /// SampleEvaluation draw both passes share with RunExperiment.
+  std::vector<NodeId> requesters;
   /// Predictions whose tag sets differ between the uninterrupted run and
   /// the crash→checkpoint-restore run.
   std::size_t mismatched_tags = 0;

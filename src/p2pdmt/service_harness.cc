@@ -7,6 +7,8 @@ namespace p2pdt {
 Result<std::unique_ptr<TrainedService>> BuildTrainedService(
     const VectorizedCorpus& corpus, const ExperimentOptions& options,
     std::size_t max_docs) {
+  P2PDT_RETURN_IF_ERROR(
+      RejectUnusedOptions(options, "service", /*splits_corpus=*/true));
   ExperimentOptions service_options = options;
   service_options.env.observe.metrics = true;
   Result<StoodUpNetwork> stood_up = StandUpNetwork(corpus, service_options);

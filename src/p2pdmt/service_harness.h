@@ -38,7 +38,8 @@ struct TrainedService {
 /// options.max_train_sim_seconds), then packages it for synchronous serving
 /// with the first `max_docs` test documents (0 = all) as its catalog.
 /// Metrics are always on (the daemon exports them); the evaluation and
-/// artifact fields of `options` do not apply. Churn is left to the caller's
+/// artifact fields of `options` must stay at their defaults (see
+/// RejectUnusedOptions). Churn is left to the caller's
 /// env options; the daemon defaults assume none (a serving deployment, not
 /// a churn study).
 Result<std::unique_ptr<TrainedService>> BuildTrainedService(

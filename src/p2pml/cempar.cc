@@ -9,7 +9,6 @@
 #include "common/metrics.h"
 #include "common/profile.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "ml/serialization.h"
 #include "p2psim/sharding.h"
@@ -17,14 +16,6 @@
 namespace p2pdt {
 
 namespace {
-
-/// Per-phase latency family shared by both classifiers; resolved once per
-/// call site so recording stays lock-free (see MetricsRegistry).
-Histogram* PhaseHistogram(MetricsRegistry* metrics, const char* phase) {
-  if (metrics == nullptr) return nullptr;
-  return &metrics->GetHistogram(
-      "phase_seconds", {{"classifier", "cempar"}, {"phase", phase}});
-}
 
 /// Version byte of the CEMPaR peer-snapshot layout (inside the checkpoint
 /// envelope, which already guards integrity; this guards evolution).
@@ -180,7 +171,8 @@ void Cempar::UploadModel(NodeId peer, TagId tag, std::size_t region,
                          KernelSvmModel model, uint32_t version,
                          std::shared_ptr<std::function<void()>> barrier) {
   const std::size_t h = HomeIndex(tag, region);
-  if (Histogram* hist = PhaseHistogram(net_.metrics(), "sv_upload")) {
+  if (Histogram* hist =
+          PhaseSeconds(net_.metrics(), "cempar", "sv_upload")) {
     // Sim-time from issue to settlement (lookup + upload + retries), no
     // matter which path below settles the barrier.
     const SimTime started = sim_.Now();
@@ -315,7 +307,8 @@ void Cempar::Train(std::function<void(Status)> on_complete) {
   }
   // Resolved on the driver thread; workers record wall time per cell
   // lock-free (null when metrics are disabled).
-  Histogram* train_hist = PhaseHistogram(net_.metrics(), "local_train");
+  Histogram* train_hist =
+      PhaseSeconds(net_.metrics(), "cempar", "local_train");
 
   // Sharded compute/commit phase. Each grid cell fits its SVM on a pool
   // worker and stages the protocol side as a commit; ShardedPhase then runs
@@ -331,19 +324,18 @@ void Cempar::Train(std::function<void(Status)> on_complete) {
   plan.seed = 0;
   ShardedPhase(grid.size(), plan, [&](std::size_t i, Rng&) -> UniqueFunction {
     const GridCell cell = grid[i];
-    PhaseScope profile("local_train");
-    Stopwatch cell_wall;
-    std::vector<Example> train =
-        peer_data_[cell.peer].OneAgainstAll(cell.tag);
-    if (flip[i] != 0) {
-      // Label-flip poisoning: the model is perfectly anti-correlated with
-      // the truth, which is exactly what cross-validation scores near zero.
-      for (Example& ex : train) ex.y = -ex.y;
-    }
-    Result<KernelSvmModel> model = TrainKernelSvm(train, options_.svm);
-    if (train_hist != nullptr) {
-      train_hist->Observe(cell_wall.ElapsedSeconds());
-    }
+    Result<KernelSvmModel> model = [&] {
+      PhaseScope profile("local_train", train_hist);
+      std::vector<Example> train =
+          peer_data_[cell.peer].OneAgainstAll(cell.tag);
+      if (flip[i] != 0) {
+        // Label-flip poisoning: the model is perfectly anti-correlated with
+        // the truth, which is exactly what cross-validation scores near
+        // zero.
+        for (Example& ex : train) ex.y = -ex.y;
+      }
+      return TrainKernelSvm(train, options_.svm);
+    }();
     return [this, cell, adversaries, pending, barrier,
             model = std::move(model)]() mutable {
       if (!model.ok()) {
@@ -397,7 +389,8 @@ void Cempar::CascadeAll() {
   // Regional models are about to change: every cached prediction computed
   // against the old cascade is stale.
   BumpPublishEpoch();
-  Histogram* cascade_hist = PhaseHistogram(net_.metrics(), "cascade_merge");
+  Histogram* cascade_hist =
+      PhaseSeconds(net_.metrics(), "cempar", "cascade_merge");
   for (Home& home : homes_) {
     if (home.locals.empty() || !home.dirty) continue;
     home.dirty = false;
@@ -424,13 +417,10 @@ void Cempar::CascadeAll() {
       home.weight = 0.0;
       continue;
     }
-    Stopwatch merge_wall;
-    PhaseScope profile("cascade_merge");
-    Result<KernelSvmModel> regional =
-        CascadeTree(locals, options_.svm, options_.cascade_fan_in);
-    if (cascade_hist != nullptr) {
-      cascade_hist->Observe(merge_wall.ElapsedSeconds());
-    }
+    Result<KernelSvmModel> regional = [&] {
+      PhaseScope profile("cascade_merge", cascade_hist);
+      return CascadeTree(locals, options_.svm, options_.cascade_fan_in);
+    }();
     if (!regional.ok()) {
       P2PDT_LOG(Warning) << "cascade failed: " << regional.status().ToString();
       continue;
@@ -608,84 +598,86 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
     if (--ctx->remaining > 0) return;
     P2PPrediction out;
     out.scores.assign(num_tags_, 0.0);
-    PhaseScope profile("vote");
-    Stopwatch vote_wall;
-    // Requester-side robust voting. Two layers, both inert on honest
-    // traffic: (1) the sanitation gate drops non-finite or absurdly large
-    // scores (the vote-spam signature), (2) with reputation on, a per-tag
-    // median trim drops outliers that stayed under the magnitude bound.
-    std::vector<char> keep(ctx->votes.size(), 1);
-    uint64_t discarded = 0;
-    if (options_.sanitize.enabled) {
+    {
+      // The vote interval ends before metrics, tracing and done().
+      PhaseScope profile("vote",
+                         PhaseSeconds(net_.metrics(), "cempar", "vote"));
+      // Requester-side robust voting. Two layers, both inert on honest
+      // traffic: (1) the sanitation gate drops non-finite or absurdly large
+      // scores (the vote-spam signature), (2) with reputation on, a per-tag
+      // median trim drops outliers that stayed under the magnitude bound.
+      std::vector<char> keep(ctx->votes.size(), 1);
+      uint64_t discarded = 0;
+      if (options_.sanitize.enabled) {
+        for (std::size_t i = 0; i < ctx->votes.size(); ++i) {
+          const PredictCtx::Vote& v = ctx->votes[i];
+          if (!std::isfinite(v.score) || !std::isfinite(v.weight) ||
+              std::fabs(v.score) > options_.sanitize.max_abs_value ||
+              v.weight < 0.0 || v.weight > options_.sanitize.max_abs_value) {
+            keep[i] = 0;
+            ++discarded;
+          }
+        }
+      }
+      if (reputation_ != nullptr && !ctx->votes.empty()) {
+        std::vector<std::vector<double>> per_tag(num_tags_);
+        for (std::size_t i = 0; i < ctx->votes.size(); ++i) {
+          if (keep[i] != 0 && ctx->votes[i].tag < num_tags_) {
+            per_tag[ctx->votes[i].tag].push_back(ctx->votes[i].score);
+          }
+        }
+        std::vector<double> median(num_tags_, 0.0);
+        std::vector<char> trimmable(num_tags_, 0);
+        for (TagId t = 0; t < num_tags_; ++t) {
+          if (per_tag[t].size() < 3) continue;  // no majority to trim against
+          std::sort(per_tag[t].begin(), per_tag[t].end());
+          median[t] = per_tag[t][per_tag[t].size() / 2];
+          trimmable[t] = 1;
+        }
+        for (std::size_t i = 0; i < ctx->votes.size(); ++i) {
+          const PredictCtx::Vote& v = ctx->votes[i];
+          if (keep[i] == 0 || v.tag >= num_tags_ || trimmable[v.tag] == 0) {
+            continue;
+          }
+          if (std::fabs(v.score - median[v.tag]) >
+              options_.vote_outlier_threshold) {
+            keep[i] = 0;
+            ++discarded;
+          }
+        }
+      }
+      if (discarded > 0) {
+        votes_discarded_ += discarded;
+        if (MetricsRegistry* metrics = net_.metrics()) {
+          metrics
+              ->GetCounter("votes_discarded", {{"classifier", "cempar"}})
+              .Increment(discarded);
+        }
+      }
       for (std::size_t i = 0; i < ctx->votes.size(); ++i) {
         const PredictCtx::Vote& v = ctx->votes[i];
-        if (!std::isfinite(v.score) || !std::isfinite(v.weight) ||
-            std::fabs(v.score) > options_.sanitize.max_abs_value ||
-            v.weight < 0.0 || v.weight > options_.sanitize.max_abs_value) {
-          keep[i] = 0;
-          ++discarded;
-        }
+        if (keep[i] == 0 || v.tag >= num_tags_) continue;
+        ctx->score_sum[v.tag] += v.weight * v.score;
+        ctx->weight_sum[v.tag] += v.weight;
       }
-    }
-    if (reputation_ != nullptr && !ctx->votes.empty()) {
-      std::vector<std::vector<double>> per_tag(num_tags_);
-      for (std::size_t i = 0; i < ctx->votes.size(); ++i) {
-        if (keep[i] != 0 && ctx->votes[i].tag < num_tags_) {
-          per_tag[ctx->votes[i].tag].push_back(ctx->votes[i].score);
-        }
-      }
-      std::vector<double> median(num_tags_, 0.0);
-      std::vector<char> trimmable(num_tags_, 0);
       for (TagId t = 0; t < num_tags_; ++t) {
-        if (per_tag[t].size() < 3) continue;  // no majority to trim against
-        std::sort(per_tag[t].begin(), per_tag[t].end());
-        median[t] = per_tag[t][per_tag[t].size() / 2];
-        trimmable[t] = 1;
-      }
-      for (std::size_t i = 0; i < ctx->votes.size(); ++i) {
-        const PredictCtx::Vote& v = ctx->votes[i];
-        if (keep[i] == 0 || v.tag >= num_tags_ || trimmable[v.tag] == 0) {
-          continue;
-        }
-        if (std::fabs(v.score - median[v.tag]) >
-            options_.vote_outlier_threshold) {
-          keep[i] = 0;
-          ++discarded;
+        if (ctx->weight_sum[t] > 0.0) {
+          out.scores[t] = ctx->score_sum[t] / ctx->weight_sum[t];
         }
       }
-    }
-    if (discarded > 0) {
-      votes_discarded_ += discarded;
-      if (MetricsRegistry* metrics = net_.metrics()) {
-        metrics
-            ->GetCounter("votes_discarded", {{"classifier", "cempar"}})
-            .Increment(discarded);
+      out.success = ctx->responded > 0;
+      if (!out.success && transport_ != nullptr &&
+          LocalScores(requester, x, out.scores)) {
+        // Every remote path exhausted its retry budget: degrade to the
+        // requester's own local models rather than failing outright.
+        out.success = true;
+        out.degraded = true;
       }
+      out.tags = out.success ? DecideTags(out.scores, options_.policy)
+                             : std::vector<TagId>{};
     }
-    for (std::size_t i = 0; i < ctx->votes.size(); ++i) {
-      const PredictCtx::Vote& v = ctx->votes[i];
-      if (keep[i] == 0 || v.tag >= num_tags_) continue;
-      ctx->score_sum[v.tag] += v.weight * v.score;
-      ctx->weight_sum[v.tag] += v.weight;
-    }
-    for (TagId t = 0; t < num_tags_; ++t) {
-      if (ctx->weight_sum[t] > 0.0) {
-        out.scores[t] = ctx->score_sum[t] / ctx->weight_sum[t];
-      }
-    }
-    out.success = ctx->responded > 0;
-    if (!out.success && transport_ != nullptr &&
-        LocalScores(requester, x, out.scores)) {
-      // Every remote path exhausted its retry budget: degrade to the
-      // requester's own local models rather than failing outright.
-      out.success = true;
-      out.degraded = true;
-    }
-    out.tags = out.success ? DecideTags(out.scores, options_.policy)
-                           : std::vector<TagId>{};
     if (MetricsRegistry* metrics = net_.metrics()) {
-      PhaseHistogram(metrics, "vote")->Observe(vote_wall.ElapsedSeconds());
-      PhaseHistogram(metrics, "predict")
+      PhaseSeconds(metrics, "cempar", "predict")
           ->Observe(sim_.Now() - ctx->started);
       metrics
           ->GetCounter("predictions",
@@ -753,20 +745,12 @@ void Cempar::Predict(NodeId requester, const SparseVector& x,
         // behavior belongs to the responding super-peer, whoever that is.)
         sim_.Schedule(local_delay,
                       [this, ctx, owner, home_list, x, finalize_one] {
-          const AdversaryDirectory* adv = net_.adversaries();
-          const bool spam =
-              adv != nullptr && adv->BehaviorAt(owner, sim_.Now()) ==
-                                    AdversaryBehavior::kVoteSpam;
-          for (std::size_t h : home_list) {
-            const Home& home = homes_[h];
-            if (home.owner != owner || !home.has_regional) continue;
-            TagId tag =
-                static_cast<TagId>(h / options_.regions_per_tag);
-            if (spam) {
-              ctx->votes.push_back({tag, 1.0e9, 1.0e3});
-            } else {
-              ctx->votes.push_back(
-                  {tag, home.regional.Decision(x), home.weight});
+          {
+            // No message delivery carries the prediction's trace here, so
+            // the super_peer_vote instant is parented explicitly.
+            ScopedTraceContext trace(net_.tracer(), ctx->span);
+            for (const PredictVote& v : EvaluateHomes(owner, home_list, x)) {
+              ctx->votes.push_back(v);
             }
           }
           ++ctx->responded;
@@ -1228,26 +1212,26 @@ void Cempar::RefreshPeer(NodeId peer, std::function<void()> done) {
   // The version bump invalidates cached predictions immediately, before
   // any re-upload lands (the coherence rule: never serve across a bump).
   BumpPublishEpoch();
-  Stopwatch refresh_wall;
-  local_models_[peer].clear();
-  const DatasetShard& data = peer_data_[peer];
-  std::vector<std::size_t> counts = data.TagCounts();
-  const std::size_t region = peer % options_.regions_per_tag;
-  for (TagId tag = 0; tag < num_tags_; ++tag) {
-    if (tag >= counts.size() || counts[tag] == 0) continue;
-    Result<KernelSvmModel> model =
-        TrainKernelSvm(data.OneAgainstAll(tag), options_.svm);
-    if (!model.ok()) {
-      P2PDT_LOG(Warning) << "peer " << peer << " tag " << tag
-                         << " refresh SVM failed: "
-                         << model.status().ToString();
-      continue;
+  {
+    PhaseScope profile("model_refresh",
+                       PhaseSeconds(net_.metrics(), "cempar", "model_refresh"));
+    local_models_[peer].clear();
+    const DatasetShard& data = peer_data_[peer];
+    std::vector<std::size_t> counts = data.TagCounts();
+    const std::size_t region = peer % options_.regions_per_tag;
+    for (TagId tag = 0; tag < num_tags_; ++tag) {
+      if (tag >= counts.size() || counts[tag] == 0) continue;
+      Result<KernelSvmModel> model =
+          TrainKernelSvm(data.OneAgainstAll(tag), options_.svm);
+      if (!model.ok()) {
+        P2PDT_LOG(Warning) << "peer " << peer << " tag " << tag
+                           << " refresh SVM failed: "
+                           << model.status().ToString();
+        continue;
+      }
+      local_models_[peer].emplace(HomeIndex(tag, region),
+                                  std::move(model).value());
     }
-    local_models_[peer].emplace(HomeIndex(tag, region),
-                                std::move(model).value());
-  }
-  if (Histogram* hist = PhaseHistogram(net_.metrics(), "model_refresh")) {
-    hist->Observe(refresh_wall.ElapsedSeconds());
   }
 
   // Re-upload through the normal (possibly reliable) upload path; each

@@ -8,7 +8,6 @@
 #include "common/metrics.h"
 #include "common/profile.h"
 #include "common/rng.h"
-#include "common/stopwatch.h"
 #include "common/thread_pool.h"
 #include "ml/serialization.h"
 #include "p2psim/sharding.h"
@@ -20,15 +19,6 @@ namespace {
 /// Version byte of the PACE peer-snapshot layout (the checkpoint envelope
 /// already guards integrity; this guards format evolution).
 constexpr uint8_t kPaceSnapshotVersion = 1;
-
-/// Per-phase latency family; resolved once per call site so recording
-/// stays lock-free (see MetricsRegistry).
-Histogram* PhaseHistogram(MetricsRegistry* metrics, const char* phase) {
-  if (metrics == nullptr) return nullptr;
-  return &metrics->GetHistogram(
-      "phase_seconds", {{"classifier", "pace"}, {"phase", phase}});
-}
-
 }  // namespace
 
 Pace::Pace(Simulator& sim, PhysicalNetwork& net, Overlay& overlay,
@@ -368,26 +358,22 @@ void Pace::Train(std::function<void(Status)> on_complete) {
   }
   // Resolved on the driver thread; workers record wall time per peer
   // lock-free (null when metrics are disabled).
-  Histogram* train_hist = PhaseHistogram(net_.metrics(), "local_train");
+  Histogram* train_hist = PhaseSeconds(net_.metrics(), "pace", "local_train");
   ShardPlanOptions plan;
   plan.shards = options_.sim_shards;
   plan.num_threads = options_.num_threads;
   plan.seed = options_.svm.seed;
   ShardedPhase(training_peers.size(), plan,
                [&](std::size_t i, Rng&) -> UniqueFunction {
-                 PhaseScope profile("local_train");
-                 Stopwatch peer_wall;
+                 PhaseScope profile("local_train", train_hist);
                  TrainLocal(training_peers[i]);
-                 if (train_hist != nullptr) {
-                   train_hist->Observe(peer_wall.ElapsedSeconds());
-                 }
                  return {};  // all protocol traffic is issued below
                });
 
   // Build the shared LSH index over all contributed centroids.
-  Stopwatch index_wall;
   {
-    PhaseScope profile("lsh_index");
+    PhaseScope profile("lsh_index",
+                       PhaseSeconds(net_.metrics(), "pace", "lsh_index"));
     for (NodeId peer = 0; peer < models_.size(); ++peer) {
       if (!models_[peer].valid) continue;
       for (std::size_t c = 0; c < models_[peer].centroids.size(); ++c) {
@@ -395,9 +381,6 @@ void Pace::Train(std::function<void(Status)> on_complete) {
         index_items_.push_back({peer, c, models_[peer].version});
       }
     }
-  }
-  if (Histogram* hist = PhaseHistogram(net_.metrics(), "lsh_index")) {
-    hist->Observe(index_wall.ElapsedSeconds());
   }
 
   // Dissemination phase: every contributor broadcasts its bundle; each
@@ -423,7 +406,8 @@ void Pace::Train(std::function<void(Status)> on_complete) {
   // runs — byte-for-byte the legacy schedule; a finite window only bounds
   // how many dissemination trees the event queue materializes at once,
   // which is what keeps the 100k-peer run inside memory.
-  Histogram* bcast_hist = PhaseHistogram(net_.metrics(), "model_broadcast");
+  Histogram* bcast_hist =
+      PhaseSeconds(net_.metrics(), "pace", "model_broadcast");
   struct BroadcastWindow {
     std::vector<NodeId> order;
     std::size_t next = 0;
@@ -611,14 +595,14 @@ void Pace::Predict(NodeId requester, const SparseVector& x,
   // Entirely local: retrieve candidate models via LSH (multi-probe until we
   // have enough), filter to models this peer actually received, rank by
   // true centroid distance, keep top-k.
-  Stopwatch retrieve_wall;
   struct Scored {
     NodeId peer;
     double dist2;
   };
   std::vector<Scored> nearest;
   {
-    PhaseScope profile("top_k_retrieve");
+    PhaseScope profile("top_k_retrieve",
+                       PhaseSeconds(net_.metrics(), "pace", "top_k_retrieve"));
     std::vector<std::size_t> candidates =
         index_->QueryAtLeast(x, options_.top_k * 4);
 
@@ -662,9 +646,6 @@ void Pace::Predict(NodeId requester, const SparseVector& x,
     });
     if (nearest.size() > options_.top_k) nearest.resize(options_.top_k);
   }
-  if (Histogram* hist = PhaseHistogram(net_.metrics(), "top_k_retrieve")) {
-    hist->Observe(retrieve_wall.ElapsedSeconds());
-  }
 
   P2PPrediction out;
   out.scores.assign(num_tags_, 0.0);
@@ -686,46 +667,47 @@ void Pace::Predict(NodeId requester, const SparseVector& x,
     return;
   }
 
-  Stopwatch vote_wall;
-  PhaseScope vote_profile("vote");
-  std::vector<double> weight_sum(num_tags_, 0.0);
-  for (const Scored& s : nearest) {
-    const PeerModel& pm = models_[s.peer];
-    double dist_w =
-        1.0 / std::pow(1.0 + std::sqrt(s.dist2), options_.distance_exponent);
-    // Suspect contributors (low but not quarantine-level trust) vote with
-    // min(self-reported, observed) accuracy, scaled by trust — the
-    // reputation-weighted replacement for PACE's self-reported weighting.
-    // Never triggers for honest contributors, whose trust stays high.
-    const bool suspect =
-        reputation_ != nullptr && reputation_->IsSuspect(requester, s.peer);
-    for (TagId t = 0; t < num_tags_; ++t) {
-      const BinaryClassifier* m = pm.model.model(t);
-      // Explicit bounds guards: a dimension-mismatch adversary ships per-tag
-      // vectors shorter than num_tags_, which must degrade to "no vote",
-      // never to an out-of-bounds read.
-      if (m == nullptr || t >= pm.tag_informed.size() ||
-          t >= pm.tag_accuracy.size() || !pm.tag_informed[t]) {
-        continue;
+  {
+    // The vote interval ends before metrics, tracing and the cache insert.
+    PhaseScope profile("vote", PhaseSeconds(net_.metrics(), "pace", "vote"));
+    std::vector<double> weight_sum(num_tags_, 0.0);
+    for (const Scored& s : nearest) {
+      const PeerModel& pm = models_[s.peer];
+      double dist_w =
+          1.0 / std::pow(1.0 + std::sqrt(s.dist2), options_.distance_exponent);
+      // Suspect contributors (low but not quarantine-level trust) vote with
+      // min(self-reported, observed) accuracy, scaled by trust — the
+      // reputation-weighted replacement for PACE's self-reported weighting.
+      // Never triggers for honest contributors, whose trust stays high.
+      const bool suspect =
+          reputation_ != nullptr && reputation_->IsSuspect(requester, s.peer);
+      for (TagId t = 0; t < num_tags_; ++t) {
+        const BinaryClassifier* m = pm.model.model(t);
+        // Explicit bounds guards: a dimension-mismatch adversary ships per-tag
+        // vectors shorter than num_tags_, which must degrade to "no vote",
+        // never to an out-of-bounds read.
+        if (m == nullptr || t >= pm.tag_informed.size() ||
+            t >= pm.tag_accuracy.size() || !pm.tag_informed[t]) {
+          continue;
+        }
+        double acc = ClampAccuracy(pm.tag_accuracy[t]);
+        if (suspect) {
+          acc = std::min(acc, reputation_->ObservedAccuracy(requester, s.peer));
+        }
+        double w =
+            std::pow(std::max(acc, 1e-6), options_.accuracy_exponent) * dist_w;
+        if (suspect) w *= reputation_->Trust(requester, s.peer);
+        out.scores[t] += w * m->Decision(x);
+        weight_sum[t] += w;
       }
-      double acc = ClampAccuracy(pm.tag_accuracy[t]);
-      if (suspect) {
-        acc = std::min(acc, reputation_->ObservedAccuracy(requester, s.peer));
-      }
-      double w =
-          std::pow(std::max(acc, 1e-6), options_.accuracy_exponent) * dist_w;
-      if (suspect) w *= reputation_->Trust(requester, s.peer);
-      out.scores[t] += w * m->Decision(x);
-      weight_sum[t] += w;
     }
+    for (TagId t = 0; t < num_tags_; ++t) {
+      if (weight_sum[t] > 0.0) out.scores[t] /= weight_sum[t];
+    }
+    out.tags = DecideTags(out.scores, options_.policy);
+    out.success = true;
   }
-  for (TagId t = 0; t < num_tags_; ++t) {
-    if (weight_sum[t] > 0.0) out.scores[t] /= weight_sum[t];
-  }
-  out.tags = DecideTags(out.scores, options_.policy);
-  out.success = true;
   if (MetricsRegistry* metrics = net_.metrics()) {
-    PhaseHistogram(metrics, "vote")->Observe(vote_wall.ElapsedSeconds());
     metrics
         ->GetCounter("predictions",
                      {{"classifier", "pace"}, {"outcome", "ok"}})
@@ -1021,24 +1003,24 @@ void Pace::RefreshPeer(NodeId peer, std::function<void()> done) {
     return;
   }
   const uint32_t next_version = models_[peer].version + 1;
-  Stopwatch refresh_wall;
-  TrainLocal(peer);  // deterministic per-(peer,tag) seeds, like Train
-  if (!models_[peer].valid) {
-    sim_.Schedule(0.0, std::move(done));
-    return;
-  }
-  models_[peer].version = next_version;
-  // The version bump invalidates cached predictions even if the refreshed
-  // bundle is later refused at some ingestion gate.
-  BumpPublishEpoch();
-  // Index the refreshed centroids under the new stamp; the superseded
-  // version's entries are now dead at query time (version mismatch).
-  for (std::size_t c = 0; c < models_[peer].centroids.size(); ++c) {
-    index_->Insert(index_items_.size(), models_[peer].centroids[c]);
-    index_items_.push_back({peer, c, next_version});
-  }
-  if (Histogram* hist = PhaseHistogram(net_.metrics(), "model_refresh")) {
-    hist->Observe(refresh_wall.ElapsedSeconds());
+  {
+    PhaseScope profile("model_refresh",
+                       PhaseSeconds(net_.metrics(), "pace", "model_refresh"));
+    TrainLocal(peer);  // deterministic per-(peer,tag) seeds, like Train
+    if (!models_[peer].valid) {
+      sim_.Schedule(0.0, std::move(done));
+      return;
+    }
+    models_[peer].version = next_version;
+    // The version bump invalidates cached predictions even if the refreshed
+    // bundle is later refused at some ingestion gate.
+    BumpPublishEpoch();
+    // Index the refreshed centroids under the new stamp; the superseded
+    // version's entries are now dead at query time (version mismatch).
+    for (std::size_t c = 0; c < models_[peer].centroids.size(); ++c) {
+      index_->Insert(index_items_.size(), models_[peer].centroids[c]);
+      index_items_.push_back({peer, c, next_version});
+    }
   }
 
   // Re-broadcast through the normal dissemination path; every delivery

@@ -207,6 +207,18 @@ TEST(DriftHarnessTest, SerialMatchesShardedWithDetectorArmed) {
 // End-to-end detection and recovery, pinned to the CI smoke shape: a
 // sudden vocabulary shift under 20 % packet loss. The drift-triggered arm
 // must actually fire and must end strictly better than the frozen arm.
+TEST(DriftHarnessTest, RejectsExperimentFieldsItIgnores) {
+  // The stream fixes the split and each peer's data, so the seed, split and
+  // distribution settings are ignored along with the evaluation ones.
+  DriftExperimentOptions opt = HarnessOptions(RetrainPolicy::kFrozen);
+  opt.experiment.seed = 1;
+  Result<DriftExperimentResult> r = RunDriftExperiment(StationaryStream(), opt);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("seed"), std::string::npos)
+      << r.status().ToString();
+}
+
 TEST(DriftHarnessTest, DetectorFiresAndRecoveryBeatsFrozen) {
   StreamOptions opt;
   opt.base.num_users = 10;

@@ -46,6 +46,62 @@ TEST(SplitCorpusTest, DeterministicInSeed) {
   }
 }
 
+TEST(RejectUnusedOptionsTest, NamesEachIgnoredFieldThatDiffersFromDefault) {
+  EXPECT_TRUE(RejectUnusedOptions(ExperimentOptions{}, "h", false).ok());
+  ExperimentOptions used;  // fields every harness reads
+  used.env.num_peers = 7;
+  used.algorithm = AlgorithmType::kCempar;
+  used.sim_shards = 2;
+  used.max_train_sim_seconds = 10.0;
+  EXPECT_TRUE(RejectUnusedOptions(used, "h", false).ok());
+
+  struct Case {
+    const char* field;
+    void (*set)(ExperimentOptions&);
+    bool read_when_splitting;
+  };
+  const Case cases[] = {
+      {"warmup_sim_seconds",
+       [](ExperimentOptions& o) { o.warmup_sim_seconds = 1; }, false},
+      {"post_train_sim_seconds",
+       [](ExperimentOptions& o) { o.post_train_sim_seconds = 1; }, false},
+      {"recovery",
+       [](ExperimentOptions& o) { o.recovery.warm_rejoin = false; }, false},
+      {"max_test_documents",
+       [](ExperimentOptions& o) { o.max_test_documents = 0; }, false},
+      {"max_eval_peers",
+       [](ExperimentOptions& o) { o.max_eval_peers = 2; }, false},
+      {"max_predict_sim_seconds",
+       [](ExperimentOptions& o) { o.max_predict_sim_seconds = 1; }, false},
+      {"report_path",
+       [](ExperimentOptions& o) { o.report_path = "r"; }, false},
+      {"metrics_path",
+       [](ExperimentOptions& o) { o.metrics_path = "m"; }, false},
+      {"trace_path",
+       [](ExperimentOptions& o) { o.trace_path = "t"; }, false},
+      {"profile_path",
+       [](ExperimentOptions& o) { o.profile_path = "p"; }, false},
+      {"distribution",
+       [](ExperimentOptions& o) { o.distribution.seed = 6; }, true},
+      {"train_fraction",
+       [](ExperimentOptions& o) { o.train_fraction = 0.5; }, true},
+      {"seed",
+       [](ExperimentOptions& o) { o.seed = 1; }, true},
+  };
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.field);
+    ExperimentOptions opt;
+    c.set(opt);
+    Status s = RejectUnusedOptions(opt, "h", /*splits_corpus=*/false);
+    EXPECT_EQ(s.code(), StatusCode::kInvalidArgument);
+    EXPECT_EQ(s.message(),
+              std::string("h harness ignores ") + c.field +
+                  "; leave it at its default");
+    EXPECT_EQ(RejectUnusedOptions(opt, "h", /*splits_corpus=*/true).ok(),
+              c.read_when_splitting);
+  }
+}
+
 TEST(MakeClassifierTest, CemparNeedsChord) {
   ExperimentOptions opt = BaseOptions(AlgorithmType::kCempar);
   opt.env.overlay = OverlayType::kUnstructured;

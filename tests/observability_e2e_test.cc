@@ -129,6 +129,37 @@ TEST(ObservabilityE2ETest, CemparPredictionUnderLossIsOneConnectedTrace) {
   EXPECT_NE(json.find("\"ph\":\"i\""), std::string::npos);
 }
 
+// A requester that is itself the super-peer of a queried home votes
+// locally, without a message; its super_peer_vote instant still lands in
+// the prediction's trace.
+TEST(ObservabilityE2ETest, LocalSuperPeerVoteJoinsThePredictionTrace) {
+  LossyFixture f(/*loss_rate=*/0.0);
+  ASSERT_TRUE(f.Train().ok());
+  Tracer* tracer = f.env->tracer();
+  ASSERT_NE(tracer, nullptr);
+  std::size_t local_votes = 0;
+  for (NodeId requester = 0; requester < 12; ++requester) {
+    tracer->Clear();
+    ASSERT_TRUE(f.PredictSync(requester,
+                              SparseVector::FromPairs({{3u, 1.0}, {4u, 1.0}}))
+                    .success);
+    const std::vector<SpanRecord>& spans = tracer->spans();
+    auto root =
+        std::find_if(spans.begin(), spans.end(), [](const SpanRecord& s) {
+          return s.name == "cempar/predict";
+        });
+    ASSERT_NE(root, spans.end());
+    for (const SpanRecord& s : spans) {
+      EXPECT_EQ(s.trace_id, root->trace_id)
+          << "span '" << s.name << "' escaped the prediction trace";
+      if (s.instant && s.name == "super_peer_vote" && s.node == requester) {
+        ++local_votes;
+      }
+    }
+  }
+  EXPECT_GT(local_votes, 0u);
+}
+
 TEST(ObservabilityE2ETest, CemparMetricsCoverLookupsTransportAndPhases) {
   LossyFixture f(/*loss_rate=*/0.2);
   ASSERT_TRUE(f.Train().ok());

@@ -248,6 +248,17 @@ TEST_P(OverloadDeterminismTest, IdleMachineryChangesNoPrediction) {
   EXPECT_EQ(a->load.fingerprint, b->load.fingerprint);
 }
 
+TEST(OverloadHarnessTest, RejectsExperimentFieldsItIgnores) {
+  OverloadExperimentOptions opt;
+  opt.experiment.env.num_peers = SmallCorpus().num_users;
+  opt.experiment.max_eval_peers = 4;
+  Result<OverloadRunStats> r = RunOverloadExperiment(SmallCorpus(), opt);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(r.status().message().find("max_eval_peers"), std::string::npos)
+      << r.status().ToString();
+}
+
 INSTANTIATE_TEST_SUITE_P(BothAlgorithms, OverloadDeterminismTest,
                          ::testing::Values(AlgorithmType::kPace,
                                            AlgorithmType::kCempar),

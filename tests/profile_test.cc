@@ -14,6 +14,8 @@
 #include <thread>
 #include <vector>
 
+#include "common/metrics.h"
+
 namespace p2pdt {
 namespace {
 
@@ -126,6 +128,29 @@ TEST(PhaseProfilerTest, CollapsedFormatIsSortedIntegerMicros) {
   std::vector<std::string> sorted = stacks;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(stacks, sorted);
+}
+
+TEST(PhaseProfilerTest, ScopeObservesItsSecondsWithOrWithoutProfiler) {
+  MetricsRegistry metrics;
+  Histogram* seconds = PhaseSeconds(&metrics, "test", "timed");
+  ASSERT_EQ(seconds, &metrics.GetHistogram(
+                         "phase_seconds",
+                         {{"classifier", "test"}, {"phase", "timed"}}));
+  EXPECT_EQ(PhaseSeconds(nullptr, "test", "timed"), nullptr);
+
+  ASSERT_EQ(PhaseProfiler::Current(), nullptr);
+  { PhaseScope s("timed", seconds); }
+  EXPECT_EQ(seconds->count(), 1u);
+
+  PhaseProfiler profiler;
+  {
+    ScopedProfiler install(&profiler);
+    PhaseScope s("timed", seconds);
+  }
+  EXPECT_EQ(seconds->count(), 2u);
+  EXPECT_GE(seconds->sum(), 0.0);
+  EXPECT_EQ(Lines(profiler.ToCollapsed()).size(), 1u);
+  EXPECT_EQ(profiler.ToCollapsed().rfind("timed ", 0), 0u);
 }
 
 TEST(PhaseProfilerTest, WriteCollapsedRoundTripsThroughDisk) {

@@ -1,11 +1,13 @@
 #include "p2pdmt/recovery.h"
 
+#include <algorithm>
 #include <filesystem>
 #include <fstream>
 
 #include <gtest/gtest.h>
 
 #include "p2pdmt/environment.h"
+#include "p2pdmt/evaluation.h"
 #include "p2pdmt/recovery_experiment.h"
 #include "p2pml/cempar.h"
 #include "p2pml/pace.h"
@@ -323,6 +325,31 @@ TEST(CrashRestoreTest, CemparBitIdentical) {
       /*num_crashed_peers=*/4);
   ASSERT_TRUE(report.ok()) << report.status().ToString();
   EXPECT_TRUE(report->bit_identical());
+}
+
+// Both passes predict RunExperiment's evaluation sample: with max_eval_peers
+// set, every requester comes from the same deterministic pool.
+TEST(CrashRestoreTest, PredictsRunExperimentsEvaluationSample) {
+  ExperimentOptions opt = SmallOptions(AlgorithmType::kPace);
+  opt.max_eval_peers = 3;
+  Result<CrashRestoreReport> report =
+      RunCrashRestoreExperiment(SmallCorpus(), opt, /*num_crashed_peers=*/2);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  EXPECT_TRUE(report->bit_identical());
+  ASSERT_EQ(report->requesters.size(), report->predictions);
+
+  Result<StoodUpNetwork> stood_up = StandUpNetwork(SmallCorpus(), opt);
+  ASSERT_TRUE(stood_up.ok()) << stood_up.status().ToString();
+  EXPECT_EQ(report->requesters,
+            SampleEvaluation(opt, stood_up->test.size(),
+                             stood_up->network.env->net())
+                .requesters);
+  const std::vector<std::size_t> pool = DeterministicSample(
+      opt.env.num_peers, opt.max_eval_peers, opt.seed ^ 0x5A3F);
+  for (NodeId requester : report->requesters) {
+    EXPECT_TRUE(std::find(pool.begin(), pool.end(), requester) != pool.end())
+        << "requester " << requester << " outside the evaluation pool";
+  }
 }
 
 TEST(RecoveryExperimentTest, WarmStrictlyCheaperThanColdAtEqualQuality) {

@@ -57,6 +57,18 @@ std::string ServeCatalog(TrainedService& service) {
 
 class ServiceHarnessTest : public ::testing::TestWithParam<AlgorithmType> {};
 
+TEST(ServiceHarnessOptionsTest, RejectsExperimentFieldsItIgnores) {
+  ExperimentOptions options;
+  options.env.num_peers = 10;
+  options.trace_path = "unused.json";
+  Result<std::unique_ptr<TrainedService>> service =
+      BuildTrainedService(TinyCorpus(), options, kCatalogDocs);
+  ASSERT_FALSE(service.ok());
+  EXPECT_EQ(service.status().code(), StatusCode::kInvalidArgument);
+  EXPECT_NE(service.status().message().find("trace_path"), std::string::npos)
+      << service.status().ToString();
+}
+
 TEST_P(ServiceHarnessTest, CatalogMatchesTheClientsRebuild) {
   std::unique_ptr<TrainedService> service = Build(GetParam());
   ASSERT_NE(service, nullptr);
